@@ -5,11 +5,11 @@
 // many replies bound for the same coordinator). BatchingSender queues them
 // per destination and flushes each queue as one frame on the next executor
 // tick — or immediately when a queue reaches max_batch — so the per-send
-// cost (CRC, syscall on the UDP path, envelope bookkeeping in the sim) is
-// paid once per frame instead of once per message. Batching changes only
-// *packaging*: every queued message is still delivered individually on the
-// receiving side, so PR 5's per-op deadline/backoff/suspicion semantics are
-// untouched; a frame merely makes drop/duplicate/reorder faults hit all of
+// cost (CRC, envelope bookkeeping, a syscall per datagram on a real
+// network) is paid once per frame instead of once per message. Batching
+// changes only *packaging*: every queued message is still delivered
+// individually on the receiving side, so the per-op deadline, backoff and
+// suspicion semantics (DESIGN.md §9) are untouched; a frame merely makes drop/duplicate/reorder faults hit all of
 // its messages together, which the chaos tier exercises deliberately.
 //
 // Single-threaded: confined to its executor's thread like the coordinator.
@@ -31,7 +31,7 @@ struct BatchConfig {
   /// Off by default: every send flushes immediately as a singleton.
   bool enabled = false;
   /// A destination queue reaching this size flushes without waiting for
-  /// the tick (bounds frame size; the UDP transport caps datagrams).
+  /// the tick (bounds frame size).
   std::size_t max_batch = 32;
   /// Delay before the armed flush tick runs. 0 = end of the current
   /// instant (same virtual time, after the event that enqueued).

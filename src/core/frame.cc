@@ -50,16 +50,11 @@ void FrameBuilder::finish() {
   ByteWriter(out_).put_u32(crc32(out_.data() + base_, out_.size() - base_));
 }
 
-void encode_frame_into(const std::vector<Message>& msgs, Bytes& out) {
-  out.clear();
+Bytes encode_frame(const std::vector<Message>& msgs) {
+  Bytes out;
   FrameBuilder builder(out);
   for (const Message& m : msgs) builder.add(m);
   builder.finish();
-}
-
-Bytes encode_frame(const std::vector<Message>& msgs) {
-  Bytes out;
-  encode_frame_into(msgs, out);
   return out;
 }
 

@@ -73,9 +73,6 @@ class FrameBuilder {
 /// One-shot convenience over FrameBuilder. `msgs` must be non-empty.
 Bytes encode_frame(const std::vector<Message>& msgs);
 
-/// Appends nothing on failure; clears and fills `out` on success.
-void encode_frame_into(const std::vector<Message>& msgs, Bytes& out);
-
 /// Parses a frame; nullopt on any malformed input (bad magic, bad CRC,
 /// truncation, zero/absurd count, per-message decode failure, trailing
 /// garbage).

@@ -2,9 +2,9 @@
 // state, built on the wire codec.
 //
 // The paper's crash model (§2) assumes a brick's persistent state — ord-ts
-// and the timestamped log — survives the crash; the in-process runtimes get
-// that for free because a "crashed" brick's BrickStore object lives on. A
-// real brickd killed with SIGKILL does not, so it journals every
+// and the timestamped log — survives the crash; the simulator gets that for
+// free because a "crashed" brick's BrickStore object lives on. A real
+// brickd killed with SIGKILL does not, so it journals every
 // state-mutating request (Order, OrderRead, MultiOrderRead, Write, Modify,
 // ModifyDelta, MultiModify, Gc — everything but the read-only Read) before
 // handling it, and replays the journal through a fresh RegisterReplica on

@@ -373,7 +373,7 @@ void RequestEngine::notify_crash(ProcessId coordinator) {
         ++stats_.crash_failed_ops;
         ++stats_.misrouted;
         // The coordinator died with the op's continuation: outcome ⊥,
-        // reported as kMisrouted like ThreadedCluster's client aborts.
+        // reported as kMisrouted like VolumeClient's aborts on close().
         if (op->is_write) {
           if (op->wcb) op->wcb(Coordinator::WriteOutcome(OpError::kMisrouted));
         } else {

@@ -18,7 +18,8 @@
 //
 // Threading: one EpollLoop worker owns coordinator + mux; application
 // threads use the blocking API, which posts to the loop and waits on a
-// future — the ThreadedCluster discipline. The blocking API is
+// future; close() fails the waiting threads through pre-registered abort
+// hooks, so none is stranded by a stopped loop. The blocking API is
 // thread-safe; aborted operations retry with capped jittered backoff
 // (fab::RetryPolicy, §5.1's "the client retries") in the calling thread.
 #pragma once

@@ -138,9 +138,8 @@ class BrickServer {
   bool read_only_ = false;
   std::set<StripeId> quarantined_;
 
-  /// At-most-once execution of retransmitted requests, as in the
-  /// in-process runtimes — but bounded: a daemon outliving millions of ops
-  /// cannot keep every reply. FIFO eviction is safe because a retransmit
+  /// At-most-once execution of retransmitted requests — but bounded: a
+  /// daemon outliving millions of ops cannot keep every reply. FIFO eviction is safe because a retransmit
   /// of an evicted request re-executes an (idempotent) old mutation whose
   /// effect is already in the log.
   static constexpr std::size_t kReplyCacheCap = 8192;

@@ -1,14 +1,11 @@
 // Datagram multiplexer: one UDP socket carrying all of a process's
 // protocol traffic, driven by an EpollLoop.
 //
-// Where UdpTransport binds one loopback socket per hosted brick and decodes
-// on a dedicated receive thread, the mux is the multi-process shape: one
-// socket per PROCESS (a brickd hosts one brick; a client hosts none),
+// One socket per PROCESS (a brickd hosts one brick; a client hosts none),
 // readable-event decoding inline on the loop thread, and real remote
-// addresses. The wire format is unchanged — [u32 from][u32 to] routing
-// envelope followed by either a singleton message encoding (core/wire.h)
-// or a batch frame (core/frame.h) — so mux and UdpTransport processes could
-// even interoperate on one cluster.
+// addresses. The wire format is a [u32 from][u32 to] routing envelope
+// followed by either a singleton message encoding (core/wire.h) or a batch
+// frame (core/frame.h).
 //
 // Addressing is hybrid:
 //   - static peers (set_peer / set_peers): the cluster layout from the
@@ -64,6 +61,8 @@ class DatagramMux {
 
   /// Binds one UDP socket on `listen` (port 0 = ephemeral) for process
   /// `self` and registers it with `loop`. The loop must outlive the mux.
+  /// Only a fixed-port bind sets SO_REUSEADDR (a restarted brick
+  /// re-binding its port); an ephemeral bind never shares a port.
   DatagramMux(EpollLoop* loop, ProcessId self, const Endpoint& listen,
               Handler handler);
   ~DatagramMux();

@@ -1,14 +1,12 @@
-// Epoll-based socket event loop: the deployment-grade sibling of EventLoop.
+// Epoll-based socket event loop: the wall-clock runtime's one executor.
 //
-// EventLoop serializes protocol work on one thread but knows nothing about
-// file descriptors, so the UDP transport needs a separate receive thread
-// and a thread hop per datagram. EpollLoop folds both roles into a single
-// thread: one epoll instance multiplexes readable sockets, an eventfd wakes
-// the loop for cross-thread posts, and a timer queue drives the protocol's
-// retransmit/deadline machinery — datagrams are decoded and handled on the
-// same thread that owns all protocol state, with no hop and no lock on the
-// hot path. This is the threading model `brickd` and the client volume
-// library share (DESIGN.md §11).
+// A single thread serializes all protocol work: one epoll instance
+// multiplexes readable sockets, an eventfd wakes the loop for cross-thread
+// posts, and a timer queue drives the protocol's retransmit/deadline
+// machinery — datagrams are decoded and handled on the same thread that
+// owns all protocol state, with no hop and no lock on the hot path. This is
+// the threading model `brickd` and the client volume library share
+// (DESIGN.md §11).
 //
 // Implements sim::Executor, so core::Coordinator and core::RegisterReplica
 // glue run on it unchanged. The loop can run inline on the caller's thread

@@ -1,19 +1,27 @@
-// Socket-level deployment tests: BrickServer daemons and a VolumeClient in
-// one process, real UDP in between. Covers the client/brick round trip over
-// learned source addresses, and kill/restart persistence via journal
-// replay (the whole quorum restarts, so surviving replicas can't mask a
-// recovery bug).
+// Socket-level deployment tests: BrickServer daemons and VolumeClients in
+// one process (runtime::LocalCluster), real UDP in between. Covers the
+// client/brick round trip over learned source addresses, kill/restart
+// persistence via journal replay (the whole quorum restarts, so surviving
+// replicas can't mask a recovery bug), the fault budget, contention on one
+// stripe under the strict-linearizability oracle, and close().
 #include "runtime/brick_server.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
+#include "fab/layout.h"
 #include "fab/volume_client.h"
-#include "runtime/brick_config.h"
+#include "hist/history.h"
+#include "runtime/local_cluster.h"
 
 namespace fabec::runtime {
 namespace {
@@ -28,49 +36,45 @@ class BrickServerTest : public testing::Test {
   void SetUp() override {
     dir_ = testing::TempDir() + "/fabec_bricks_" + std::to_string(::getpid()) +
            "_" + testing::UnitTest::GetInstance()->current_test_info()->name();
-    for (std::uint32_t i = 0; i < kBricks; ++i) {
-      boot_brick(i, /*port=*/0);
-      ports_.push_back(servers_[i]->port());
-    }
+    cluster_ = boot_cluster(kBricks, dir_);
   }
 
   void TearDown() override {
-    servers_.clear();
+    cluster_.reset();
     const std::string cmd = "rm -rf '" + dir_ + "'";
     (void)!std::system(cmd.c_str());
   }
 
-  BrickConfig config_for(std::uint32_t id, std::uint16_t port) {
-    BrickConfig config;
-    config.brick_id = id;
-    config.n = kBricks;
-    config.m = kM;
-    config.total_bricks = kBricks;
-    config.block_size = kBlockSize;
-    config.listen = {"127.0.0.1", port};
-    config.store_path = dir_ + "/brick" + std::to_string(id);
-    return config;
-  }
-
-  void boot_brick(std::uint32_t id, std::uint16_t port) {
-    if (servers_.size() <= id) servers_.resize(id + 1);
-    servers_[id] =
-        std::make_unique<BrickServer>(config_for(id, port), /*seed=*/id + 1);
+  /// A pool of `total` bricks in groups of kBricks, stores under `dir`.
+  static std::unique_ptr<LocalCluster> boot_cluster(std::uint32_t total,
+                                                    const std::string& dir) {
+    BrickConfig base;
+    base.n = kBricks;
+    base.m = kM;
+    base.total_bricks = total;
+    base.block_size = kBlockSize;
+    auto cluster = std::make_unique<LocalCluster>(base, dir);
     std::string error;
-    ASSERT_TRUE(servers_[id]->init(&error)) << error;
-    servers_[id]->start();
+    EXPECT_TRUE(cluster->boot(&error)) << error;
+    return cluster;
   }
 
-  std::unique_ptr<fab::VolumeClient> make_client(ProcessId id) {
+  void restart(ProcessId id) {
+    std::string error;
+    ASSERT_TRUE(cluster_->restart(id, &error)) << error;
+  }
+
+  std::unique_ptr<fab::VolumeClient> make_client(
+      ProcessId id, LocalCluster* cluster = nullptr) {
+    if (cluster == nullptr) cluster = cluster_.get();
     fab::VolumeClientConfig config;
     config.client_id = id;
     config.n = kBricks;
     config.m = kM;
-    config.total_bricks = kBricks;
+    config.total_bricks = cluster->size();
     config.block_size = kBlockSize;
     config.num_blocks = kNumBlocks;
-    for (std::uint32_t i = 0; i < kBricks; ++i)
-      config.bricks[i] = {"127.0.0.1", ports_[i]};
+    config.bricks = cluster->endpoints();
     config.coordinator.op_deadline = sim::milliseconds(5000);
     config.retry.max_attempts = 4;
     config.retry.initial_backoff = sim::milliseconds(1);
@@ -82,8 +86,7 @@ class BrickServerTest : public testing::Test {
   static Block pattern(std::uint8_t fill) { return Block(kBlockSize, fill); }
 
   std::string dir_;
-  std::vector<std::unique_ptr<BrickServer>> servers_;
-  std::vector<std::uint16_t> ports_;
+  std::unique_ptr<LocalCluster> cluster_;
 };
 
 TEST_F(BrickServerTest, WriteReadRoundTrip) {
@@ -101,8 +104,8 @@ TEST_F(BrickServerTest, WriteReadRoundTrip) {
   EXPECT_EQ(client->stats().ok, 2 * kNumBlocks);
   // Bricks learned the client's ephemeral address from its datagrams; every
   // reply they sent proves the reply-to-source path.
-  for (const auto& server : servers_)
-    EXPECT_GT(server->stats().requests_handled, 0u);
+  for (ProcessId id = 0; id < kBricks; ++id)
+    EXPECT_GT(cluster_->brick(id)->stats().requests_handled, 0u);
   client->close();
 }
 
@@ -125,6 +128,25 @@ TEST_F(BrickServerTest, TwoClientsShareOneVolume) {
   bob->close();
 }
 
+TEST_F(BrickServerTest, PoolLargerThanGroupServesEveryBlock) {
+  // 8 bricks in rotated groups of 4: stripes land on different groups.
+  auto pool = boot_cluster(2 * kBricks, dir_ + "/pool");
+  auto client = make_client(2 * kBricks, pool.get());
+  for (Lba lba = 0; lba < kNumBlocks; ++lba)
+    ASSERT_TRUE(
+        client->write(lba, pattern(static_cast<std::uint8_t>(0x80 + lba)))
+            .ok());
+  for (Lba lba = 0; lba < kNumBlocks; ++lba) {
+    const auto read = client->read(lba);
+    ASSERT_TRUE(read.ok()) << "read lba " << lba;
+    EXPECT_EQ(read.value(), pattern(static_cast<std::uint8_t>(0x80 + lba)));
+  }
+  for (ProcessId id = 0; id < pool->size(); ++id)
+    EXPECT_GT(pool->brick(id)->stats().requests_handled, 0u)
+        << "brick " << id << " served no group";
+  client->close();
+}
+
 TEST_F(BrickServerTest, FullClusterRestartRecoversFromJournals) {
   {
     auto client = make_client(kBricks);
@@ -137,14 +159,11 @@ TEST_F(BrickServerTest, FullClusterRestartRecoversFromJournals) {
 
   // Kill the WHOLE quorum (no surviving replica can answer for the dead)
   // and restart every brick on its original port from its journal alone.
-  for (auto& server : servers_) {
-    server->stop();
-    server.reset();
-  }
-  for (std::uint32_t i = 0; i < kBricks; ++i) {
-    boot_brick(i, ports_[i]);
-    EXPECT_GT(servers_[i]->stats().journal_replayed, 0u)
-        << "brick " << i << " recovered nothing";
+  for (ProcessId id = 0; id < kBricks; ++id) cluster_->stop(id);
+  for (ProcessId id = 0; id < kBricks; ++id) {
+    restart(id);
+    EXPECT_GT(cluster_->brick(id)->stats().journal_replayed, 0u)
+        << "brick " << id << " recovered nothing";
   }
 
   auto client = make_client(kBricks + 7);
@@ -161,9 +180,9 @@ TEST_F(BrickServerTest, SingleBrickRestartRejoinsQuorum) {
   auto client = make_client(kBricks);
   ASSERT_TRUE(client->write(0, pattern(0x11)).ok());
 
-  servers_[1]->stop();
-  servers_[1].reset();
-  boot_brick(1, ports_[1]);
+  // The restart re-binds the brick's fixed port (SO_REUSEADDR).
+  cluster_->stop(1);
+  restart(1);
 
   // n=4, m=2 tolerates f=1: operations succeed throughout, and the
   // restarted brick serves again from its replayed state.
@@ -172,6 +191,119 @@ TEST_F(BrickServerTest, SingleBrickRestartRejoinsQuorum) {
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value(), pattern(0x11));
   client->close();
+}
+
+TEST_F(BrickServerTest, StoppedBricksWithinBudgetNeverBlockIo) {
+  // f = (n - m) / 2 = 1 brick down for good: every quorum still forms.
+  auto client = make_client(kBricks);
+  ASSERT_TRUE(client->write(2, pattern(0x33)).ok());
+  cluster_->stop(kBricks - 1);
+  const auto before = client->read(2);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before.value(), pattern(0x33));
+  for (Lba lba = 0; lba < kNumBlocks; ++lba)
+    ASSERT_TRUE(
+        client->write(lba, pattern(static_cast<std::uint8_t>(0x60 + lba)))
+            .ok())
+        << "write lba " << lba << " with a brick down";
+  for (Lba lba = 0; lba < kNumBlocks; ++lba) {
+    const auto read = client->read(lba);
+    ASSERT_TRUE(read.ok()) << "read lba " << lba << " with a brick down";
+    EXPECT_EQ(read.value(), pattern(static_cast<std::uint8_t>(0x60 + lba)));
+  }
+  client->close();
+}
+
+TEST_F(BrickServerTest, ThreadsOnOneStripeStayStrictlyLinearizable) {
+  // Several application threads share ONE client and contend on the blocks
+  // of one stripe; ops that exhaust their retries abort, which the oracle
+  // treats as indeterminate.
+  auto client = make_client(kBricks);
+  const fab::VolumeLayout layout(kNumBlocks, kM, fab::Layout::kRotating);
+  std::vector<Lba> lbas;
+  for (Lba lba = 0; lba < kNumBlocks; ++lba)
+    if (layout.stripe_of(lba) == 0) lbas.push_back(lba);
+  ASSERT_EQ(lbas.size(), kM);
+
+  std::mutex mu;
+  std::uint64_t seq = 0;
+  std::map<Lba, hist::History> histories;
+  hist::ValueRegistry values;
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 30;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(400 + t);
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const Lba lba = lbas[rng.next_below(lbas.size())];
+        if (rng.next_below(2) == 0) {
+          Block value = pattern(static_cast<std::uint8_t>(t + 1));
+          value[0] = static_cast<std::uint8_t>(i);  // unique per (t, i)
+          hist::History::OpRef ref;
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            ref = histories[lba].begin_write(values.id_of(value), ++seq);
+          }
+          const bool ok = client->write(lba, value).ok();
+          std::lock_guard<std::mutex> lock(mu);
+          histories[lba].end_write(ref, ++seq, ok);
+        } else {
+          hist::History::OpRef ref;
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            ref = histories[lba].begin_read(++seq);
+          }
+          const auto read = client->read(lba);
+          std::lock_guard<std::mutex> lock(mu);
+          histories[lba].end_read(
+              ref, ++seq,
+              read.ok() ? std::optional<hist::ValueId>(
+                              values.id_of(read.value()))
+                        : std::nullopt);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  client->close();
+  ASSERT_EQ(histories.size(), lbas.size());
+  for (const auto& [lba, history] : histories) {
+    const auto verdict = hist::check_strict_linearizability(history);
+    EXPECT_TRUE(verdict.ok) << "lba " << lba << ": " << verdict.violation;
+  }
+}
+
+TEST_F(BrickServerTest, CloseFailsBlockedOpsAndRefusesNewOnes) {
+  // Every brick down: operations block in retransmission until the 5-s
+  // op_deadline — unless close() fails them first.
+  for (ProcessId id = 0; id < kBricks; ++id) cluster_->stop(id);
+  auto client = make_client(kBricks);
+  constexpr int kThreads = 3;
+  std::vector<core::OpError> errors(kThreads, core::OpError::kAborted);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto outcome = t % 2 == 0 ? client->write(t, pattern(0x55)).error()
+                                      : client->read(t).error();
+      errors[t] = outcome;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto closed_at = std::chrono::steady_clock::now();
+  client->close();
+  for (auto& t : threads) t.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - closed_at,
+            std::chrono::seconds(2));
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(errors[t], core::OpError::kMisrouted) << "thread " << t;
+
+  const auto sent = client->mux_stats().datagrams_sent;
+  EXPECT_GT(sent, 0u);  // the blocked ops did reach the wire
+  EXPECT_EQ(client->read(0).error(), core::OpError::kMisrouted);
+  EXPECT_EQ(client->write(0, pattern(0x66)).error(),
+            core::OpError::kMisrouted);
+  EXPECT_EQ(client->mux_stats().datagrams_sent, sent);
 }
 
 }  // namespace

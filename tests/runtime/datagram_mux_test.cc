@@ -1,8 +1,14 @@
 // DatagramMux: singleton and frame datagrams between two real UDP sockets,
-// learned-peer reply addressing, endpoint parsing.
+// learned-peer reply addressing, endpoint parsing, ephemeral ports that no
+// other socket can share.
 #include "runtime/datagram_mux.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cerrno>
 
 #include <future>
 #include <memory>
@@ -31,6 +37,28 @@ TEST(DatagramMuxTest, ParseEndpoint) {
   EXPECT_FALSE(parse_endpoint("not-an-ip:123").has_value());
   EXPECT_FALSE(parse_endpoint("10.1.2.3:99999").has_value());
   EXPECT_FALSE(parse_endpoint("10.1.2.3:x").has_value());
+}
+
+TEST(DatagramMuxTest, EphemeralPortIsNeverShared) {
+  // A port-0 bind must not set SO_REUSEADDR: if it did, a later socket that
+  // sets it could bind the same port and steal this one's datagrams.
+  EpollLoop loop;
+  DatagramMux mux(&loop, 1, Endpoint{"127.0.0.1", 0},
+                  [](ProcessId, std::vector<core::Message>) {});
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  const int one = 1;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(mux.local_port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  const int bound =
+      ::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+  const int bind_errno = errno;
+  ::close(fd);
+  EXPECT_EQ(bound, -1);
+  EXPECT_EQ(bind_errno, EADDRINUSE);
 }
 
 class DatagramMuxPairTest : public testing::Test {

@@ -1,5 +1,6 @@
-// EpollLoop: timers (ordering, cancellation), cross-thread posting,
-// run_sync, fd readiness callbacks, stop semantics.
+// EpollLoop: timers (ordering, same-deadline FIFO, cancellation, the
+// clock), cross-thread posting, run_sync, loop-thread detection, fd
+// readiness callbacks, stop semantics.
 #include "runtime/epoll_loop.h"
 
 #include <gtest/gtest.h>
@@ -23,11 +24,13 @@ TEST(EpollLoopTest, RunsDueTimersInDeadlineOrder) {
     done.set_value();
   });
   loop.schedule_event(sim::milliseconds(10), [&] { order.push_back(1); });
-  loop.schedule_event(sim::milliseconds(20), [&] { order.push_back(2); });
+  // Equal delays: the (deadline, submission) key runs them FIFO.
+  for (int i = 20; i < 25; ++i)
+    loop.schedule_event(sim::milliseconds(20), [&, i] { order.push_back(i); });
   loop.start();
   done.get_future().wait();
   loop.stop();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<int>{1, 20, 21, 22, 23, 24, 3}));
 }
 
 TEST(EpollLoopTest, CancelledTimerNeverFires) {
@@ -47,6 +50,7 @@ TEST(EpollLoopTest, CancelledTimerNeverFires) {
 
 TEST(EpollLoopTest, PostRunsOnLoopThread) {
   EpollLoop loop;
+  EXPECT_FALSE(loop.on_loop_thread());  // not running yet
   loop.start();
   std::promise<bool> on_loop;
   loop.post([&] { on_loop.set_value(loop.on_loop_thread()); });
@@ -67,6 +71,7 @@ TEST(EpollLoopTest, RunSyncReturnsAfterExecution) {
 TEST(EpollLoopTest, TimersScheduledFromLoopThreadFire) {
   EpollLoop loop;
   loop.start();
+  const std::int64_t before = loop.now_ns();
   std::promise<void> done;
   loop.post([&] {
     loop.schedule_event(sim::milliseconds(5),
@@ -74,6 +79,8 @@ TEST(EpollLoopTest, TimersScheduledFromLoopThreadFire) {
   });
   EXPECT_EQ(done.get_future().wait_for(std::chrono::seconds(5)),
             std::future_status::ready);
+  // The timer clock advanced at least by the delay it waited out.
+  EXPECT_GE(loop.now_ns() - before, sim::milliseconds(5));
   loop.stop();
 }
 

@@ -5,10 +5,12 @@
 //
 //   cluster --bricks 8 --m 5 --clients 4 --ops 4000 --kills 3
 //
-// This is the acceptance harness for the multi-process deployment (and,
-// with --inproc, the loopback-UDP ThreadedCluster baseline the EXPERIMENTS
-// table compares against). Exit 0 = every history strictly linearizable;
-// exit 1 = violation or a brick failed to boot; exit 2 = usage.
+// This is the acceptance harness for the multi-process deployment. With
+// --inproc the bricks are runtime::BrickServers hosted in this process
+// (runtime::LocalCluster) instead of brickd children; everything else —
+// clients, chaos, fsck, oracle — is the same run. Exit 0 = every history
+// strictly linearizable; exit 1 = violation, fsck damage or a brick failed
+// to boot; exit 2 = usage.
 //
 // Process choreography:
 //   1. mkdtemp a run directory; write per-brick configs with listen port 0
@@ -23,6 +25,8 @@
 //   4. A chaos thread SIGKILLs a brick, reaps it, lets the cluster run
 //      degraded for a moment, and re-execs the same pinned config —
 //      `--kills` times. The journal makes the restart state-faithful.
+//      In-process, a kill is BrickServer stop + destroy and the restart a
+//      fresh BrickServer on the same port and store.
 //   5. SIGTERM everything (escalating to SIGKILL), then run the oracle.
 #include <fcntl.h>
 #include <signal.h>
@@ -57,7 +61,7 @@
 #include "fab/workload.h"
 #include "hist/history.h"
 #include "runtime/brick_config.h"
-#include "runtime/threaded_cluster.h"
+#include "runtime/local_cluster.h"
 
 namespace {
 
@@ -124,8 +128,8 @@ void usage(const char* argv0) {
       "  --brickd PATH         brickd binary (default: next to this one)\n"
       "  --dir PATH            run directory (default: mkdtemp)\n"
       "  --keep                keep the run directory\n"
-      "  --inproc              loopback-UDP ThreadedCluster instead of "
-      "processes (no kills)\n"
+      "  --inproc              host the bricks in this process instead of "
+      "brickd processes\n"
       "  --json                machine-readable summary on stdout\n"
       "  --quiet               suppress progress logging\n",
       argv0);
@@ -357,6 +361,89 @@ void reap_all(std::vector<BrickProc>& bricks, bool quiet) {
   }
 }
 
+/// Every brick's config except identity, address and store — what both
+/// brick hosts share.
+fabec::runtime::BrickConfig base_config(const Flags& flags) {
+  fabec::runtime::BrickConfig config;
+  config.n = flags.bricks;
+  config.m = flags.m;
+  config.code = flags.code;
+  config.total_bricks = flags.bricks;
+  config.block_size = flags.block_size;
+  if (flags.compact_threshold != 0)
+    config.compact_threshold_bytes = flags.compact_threshold;
+  config.scrub_interval_ms = flags.scrub_interval_ms;
+  return config;
+}
+
+/// Spawns one brickd per brick, waits for every port file, and pins each
+/// learned port into its config so restarts re-bind the same address.
+/// False (with every started brick reaped) if a brick fails to boot.
+bool boot_processes(const Flags& flags, const std::string& dir,
+                    const std::string& brickd, std::vector<BrickProc>* procs,
+                    std::map<ProcessId, fabec::runtime::Endpoint>* peer_map) {
+  std::vector<BrickProc>& bricks = *procs;
+  bricks.resize(flags.bricks);
+  auto config_for = [&](const BrickProc& brick,
+                        std::uint16_t port) -> std::string {
+    fabec::runtime::BrickConfig config = base_config(flags);
+    config.brick_id = brick.id;
+    config.listen = {"127.0.0.1", port};
+    config.port_file = brick.port_file;
+    config.store_path = dir + "/brick" + std::to_string(brick.id);
+    return config.to_text();
+  };
+  for (std::uint32_t i = 0; i < flags.bricks; ++i) {
+    BrickProc& brick = bricks[i];
+    brick.id = i;
+    brick.config_path = dir + "/brick" + std::to_string(i) + ".conf";
+    brick.log_path = dir + "/brick" + std::to_string(i) + ".log";
+    brick.port_file = dir + "/brick" + std::to_string(i) + ".port";
+    if (!write_file(brick.config_path, config_for(brick, 0))) {
+      std::fprintf(stderr, "cluster: cannot write %s\n",
+                   brick.config_path.c_str());
+      reap_all(bricks, flags.quiet);
+      return false;
+    }
+    brick.pid = spawn_brickd(brickd, brick);
+  }
+
+  // Readiness: every port file appears, or a brick died during boot.
+  const std::int64_t boot_deadline = now_ns() + 10'000'000'000LL;
+  for (auto& brick : bricks) {
+    while (brick.port == 0) {
+      if (const auto port = read_port_file(brick.port_file)) {
+        brick.port = *port;
+        break;
+      }
+      int status = 0;
+      if (::waitpid(brick.pid, &status, WNOHANG) == brick.pid) {
+        std::fprintf(stderr,
+                     "cluster: brick %u exited during boot (see %s)\n",
+                     brick.id, brick.log_path.c_str());
+        brick.pid = -1;
+        reap_all(bricks, flags.quiet);
+        return false;
+      }
+      if (now_ns() > boot_deadline) {
+        std::fprintf(stderr, "cluster: brick %u never published its port\n",
+                     brick.id);
+        reap_all(bricks, flags.quiet);
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    if (!write_file(brick.config_path, config_for(brick, brick.port))) {
+      std::fprintf(stderr, "cluster: cannot rewrite %s\n",
+                   brick.config_path.c_str());
+      reap_all(bricks, flags.quiet);
+      return false;
+    }
+    (*peer_map)[brick.id] = {"127.0.0.1", brick.port};
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // Post-run disk verification.
 // ---------------------------------------------------------------------------
@@ -426,19 +513,12 @@ bool check_disks(const Flags& flags, const std::string& dir) {
 // Summary output.
 // ---------------------------------------------------------------------------
 
-/// Read-cache counters summed over every client coordinator; zeros (and no
-/// output line) when --read-cache was off.
-struct CacheTally {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t invalidations = 0;
-};
-
+/// `cache` is summed over every client coordinator; zeros (and no output
+/// line) when --read-cache was off.
 void print_summary(const Flags& flags, const Recorder& recorder,
                    const Tally& tally, std::uint32_t kills_done,
                    double seconds, std::size_t violations,
-                   const CacheTally& cache) {
+                   const fabec::fab::VolumeClient::CachedReadStats& cache) {
   const auto& r = recorder.read_latency();
   const auto& w = recorder.write_latency();
   const double us = 1e3;  // ns -> us divisor
@@ -475,7 +555,7 @@ void print_summary(const Flags& flags, const Recorder& recorder,
         "  read  p50 %.0f us  p99 %.0f us  (n=%zu)\n"
         "  write p50 %.0f us  p99 %.0f us  (n=%zu)\n"
         "  strict linearizability: %s\n",
-        flags.inproc ? "(in-process loopback UDP)" : "(real processes)",
+        flags.inproc ? "(in-process bricks)" : "(real processes)",
         flags.bricks, flags.m, flags.clients,
         static_cast<unsigned long long>(flags.ops),
         static_cast<unsigned long long>(tally.ok.load()),
@@ -494,74 +574,6 @@ void print_summary(const Flags& flags, const Recorder& recorder,
           static_cast<unsigned long long>(cache.fallbacks),
           static_cast<unsigned long long>(cache.invalidations));
   }
-}
-
-// ---------------------------------------------------------------------------
-// In-process baseline (--inproc): same workload, ThreadedCluster over
-// loopback UDP, coordinators round-robined across bricks.
-// ---------------------------------------------------------------------------
-
-int run_inproc(const Flags& flags,
-               const std::vector<fabec::fab::WorkloadOp>& workload,
-               std::uint64_t num_blocks) {
-  fabec::runtime::ThreadedClusterConfig config;
-  config.n = flags.bricks;
-  config.m = flags.m;
-  config.code = flags.code;
-  config.block_size = flags.block_size;
-  config.use_udp_transport = true;
-  config.coordinator.op_deadline = fabec::sim::milliseconds(flags.deadline_ms);
-  config.coordinator.read_cache = flags.read_cache;
-  fabec::runtime::ThreadedCluster cluster(config, flags.seed);
-  fabec::fab::VolumeLayout layout(num_blocks, flags.m,
-                                  fabec::fab::Layout::kRotating);
-
-  Recorder recorder;
-  Tally tally;
-  const std::int64_t t0 = now_ns();
-  std::vector<std::thread> threads;
-  for (std::uint32_t c = 0; c < flags.clients; ++c) {
-    threads.emplace_back([&, c] {
-      const ProcessId coord = c % flags.bricks;
-      std::uint64_t counter = 0;
-      for (std::size_t i = c; i < workload.size(); i += flags.clients) {
-        const auto& op = workload[i];
-        const fabec::StripeId stripe = layout.stripe_of(op.lba);
-        const fabec::BlockIndex j = layout.index_of(op.lba);
-        const std::int64_t start = now_ns();
-        if (op.is_write) {
-          Block value = make_value(flags.block_size,
-                                   flags.bricks + c, ++counter << 8 | c);
-          const auto pending = recorder.begin_write(op.lba, value);
-          const auto outcome =
-              cluster.write_block_outcome(coord, stripe, j, std::move(value));
-          recorder.end_write(pending, outcome.ok());
-          (outcome.ok() ? tally.ok : tally.failed).fetch_add(1);
-        } else {
-          const auto pending = recorder.begin_read(op.lba);
-          const auto outcome = cluster.read_block_outcome(coord, stripe, j);
-          recorder.end_read(pending, outcome.ok()
-                                         ? std::optional<Block>(outcome.value())
-                                         : std::nullopt);
-          (outcome.ok() ? tally.ok : tally.failed).fetch_add(1);
-        }
-        recorder.record_latency(op.is_write, now_ns() - start);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double seconds = static_cast<double>(now_ns() - t0) / 1e9;
-
-  CacheTally cache;
-  const auto cstats = cluster.total_coordinator_stats();
-  cache.hits = cstats.cached_read_hits;
-  cache.misses = cstats.cached_read_misses;
-  cache.fallbacks = cstats.cached_read_fallbacks;
-  cache.invalidations = cstats.cache_invalidations;
-
-  const std::size_t violations = recorder.check();
-  print_summary(flags, recorder, tally, 0, seconds, violations, cache);
-  return violations == 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -588,8 +600,6 @@ int main(int argc, char** argv) {
   const auto workload =
       fabec::fab::generate_workload(workload_config, num_blocks, rng);
 
-  if (flags.inproc) return run_inproc(flags, workload, num_blocks);
-
   // --- run directory and brickd path ---------------------------------------
   std::string dir = flags.dir;
   if (dir.empty()) {
@@ -614,92 +624,37 @@ int main(int argc, char** argv) {
                                          : self.substr(0, slash)) +
              "/brickd";
   }
-  if (::access(brickd.c_str(), X_OK) != 0) {
+  if (!flags.inproc && ::access(brickd.c_str(), X_OK) != 0) {
     std::fprintf(stderr, "cluster: brickd binary not executable: %s\n",
                  brickd.c_str());
     return 1;
   }
   if (!flags.quiet)
-    std::fprintf(stderr, "cluster: run directory %s, brickd %s\n", dir.c_str(),
-                 brickd.c_str());
+    std::fprintf(stderr, "cluster: run directory %s, bricks %s\n", dir.c_str(),
+                 flags.inproc ? "in this process" : brickd.c_str());
 
   // --- boot the bricks ------------------------------------------------------
-  std::vector<BrickProc> bricks(flags.bricks);
-  auto config_for = [&](const BrickProc& brick,
-                        std::uint16_t port) -> std::string {
-    fabec::runtime::BrickConfig config;
-    config.brick_id = brick.id;
-    config.n = flags.bricks;
-    config.m = flags.m;
-    config.code = flags.code;
-    config.total_bricks = flags.bricks;
-    config.block_size = flags.block_size;
-    config.listen = {"127.0.0.1", port};
-    config.port_file = brick.port_file;
-    config.store_path = dir + "/brick" + std::to_string(brick.id);
-    if (flags.compact_threshold != 0)
-      config.compact_threshold_bytes = flags.compact_threshold;
-    config.scrub_interval_ms = flags.scrub_interval_ms;
-    return config.to_text();
-  };
-  for (std::uint32_t i = 0; i < flags.bricks; ++i) {
-    BrickProc& brick = bricks[i];
-    brick.id = i;
-    brick.config_path = dir + "/brick" + std::to_string(i) + ".conf";
-    brick.log_path = dir + "/brick" + std::to_string(i) + ".log";
-    brick.port_file = dir + "/brick" + std::to_string(i) + ".port";
-    if (!write_file(brick.config_path, config_for(brick, 0))) {
-      std::fprintf(stderr, "cluster: cannot write %s\n",
-                   brick.config_path.c_str());
+  std::vector<BrickProc> procs;                         // process mode
+  std::unique_ptr<fabec::runtime::LocalCluster> local;  // --inproc
+  std::map<ProcessId, fabec::runtime::Endpoint> peer_map;
+  if (flags.inproc) {
+    local = std::make_unique<fabec::runtime::LocalCluster>(base_config(flags),
+                                                           dir);
+    std::string error;
+    if (!local->boot(&error)) {
+      std::fprintf(stderr, "cluster: brick boot failed: %s\n", error.c_str());
       return 1;
     }
-    brick.pid = spawn_brickd(brickd, brick);
-  }
-
-  // Readiness: every port file appears, or a brick died during boot.
-  const std::int64_t boot_deadline = now_ns() + 10'000'000'000LL;
-  for (auto& brick : bricks) {
-    while (brick.port == 0) {
-      if (const auto port = read_port_file(brick.port_file)) {
-        brick.port = *port;
-        break;
-      }
-      int status = 0;
-      if (::waitpid(brick.pid, &status, WNOHANG) == brick.pid) {
-        std::fprintf(stderr,
-                     "cluster: brick %u exited during boot (see %s)\n",
-                     brick.id, brick.log_path.c_str());
-        brick.pid = -1;
-        reap_all(bricks, flags.quiet);
-        return 1;
-      }
-      if (now_ns() > boot_deadline) {
-        std::fprintf(stderr, "cluster: brick %u never published its port\n",
-                     brick.id);
-        reap_all(bricks, flags.quiet);
-        return 1;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    // Pin the learned port so restarts of this config re-bind the same
-    // address and the clients' peer maps survive every kill.
-    if (!write_file(brick.config_path, config_for(brick, brick.port))) {
-      std::fprintf(stderr, "cluster: cannot rewrite %s\n",
-                   brick.config_path.c_str());
-      reap_all(bricks, flags.quiet);
-      return 1;
-    }
+    peer_map = local->endpoints();
+  } else if (!boot_processes(flags, dir, brickd, &procs, &peer_map)) {
+    return 1;
   }
   if (!flags.quiet) {
     std::ostringstream ports;
-    for (const auto& brick : bricks) ports << " " << brick.port;
+    for (const auto& [id, ep] : peer_map) ports << " " << ep.port;
     std::fprintf(stderr, "cluster: %u bricks up, ports%s\n", flags.bricks,
                  ports.str().c_str());
   }
-
-  std::map<ProcessId, fabec::runtime::Endpoint> peer_map;
-  for (const auto& brick : bricks)
-    peer_map[brick.id] = {"127.0.0.1", brick.port};
 
   // --- clients --------------------------------------------------------------
   Recorder recorder;
@@ -757,6 +712,7 @@ int main(int argc, char** argv) {
   // --- chaos: SIGKILL / restart injections ---------------------------------
   std::atomic<bool> workload_done{false};
   std::atomic<std::uint32_t> kills_done{0};
+  std::atomic<bool> restart_failed{false};
   std::thread chaos([&] {
     Rng chaos_rng(flags.seed ^ 0xC4A05ULL);
     for (std::uint32_t k = 0; k < flags.kills; ++k) {
@@ -765,15 +721,15 @@ int main(int argc, char** argv) {
            slept < flags.kill_interval_ms && !workload_done; slept += 20)
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       if (workload_done && k > 0) return;  // at least one kill always lands
-      BrickProc& victim =
-          bricks[chaos_rng.next_u64() % bricks.size()];
+      const auto victim =
+          static_cast<ProcessId>(chaos_rng.next_u64() % flags.bricks);
       if (flags.kill_during_compaction) {
         // A compaction's only externally visible window is its snapshot
         // temp file (written, synced, then renamed away). Poll the victim's
         // store for one so the SIGKILL lands mid-install; the bounded wait
         // falls back to an untimed kill — the schedule stays opportunistic,
         // never blocks the run.
-        const std::string store = dir + "/brick" + std::to_string(victim.id);
+        const std::string store = dir + "/brick" + std::to_string(victim);
         const std::int64_t give_up = now_ns() + 1'000'000'000LL;
         bool tmp_seen = false;
         while (!tmp_seen && now_ns() < give_up && !workload_done) {
@@ -790,23 +746,34 @@ int main(int argc, char** argv) {
         }
         if (!flags.quiet && tmp_seen)
           std::fprintf(stderr,
-                       "cluster: caught brick %u mid-compaction\n", victim.id);
+                       "cluster: caught brick %u mid-compaction\n", victim);
       }
-      if (!flags.quiet)
-        std::fprintf(stderr, "cluster: SIGKILL brick %u (pid %d)\n",
-                     victim.id, victim.pid);
-      ::kill(victim.pid, SIGKILL);
-      int status = 0;
-      ::waitpid(victim.pid, &status, 0);
-      victim.pid = -1;
+      if (!flags.quiet) std::fprintf(stderr, "cluster: kill brick %u\n", victim);
+      if (local) {
+        local->stop(victim);
+      } else {
+        ::kill(procs[victim].pid, SIGKILL);
+        int status = 0;
+        ::waitpid(procs[victim].pid, &status, 0);
+        procs[victim].pid = -1;
+      }
       // Let the survivors carry the load degraded for a moment — this is
       // the window where fast paths fail over to recovery reads.
       std::this_thread::sleep_for(std::chrono::milliseconds(150));
-      victim.pid = spawn_brickd(brickd, victim);
+      if (local) {
+        std::string error;
+        if (!local->restart(victim, &error)) {
+          std::fprintf(stderr, "cluster: brick %u restart failed: %s\n",
+                       victim, error.c_str());
+          restart_failed = true;
+          return;
+        }
+      } else {
+        procs[victim].pid = spawn_brickd(brickd, procs[victim]);
+      }
       ++kills_done;
       if (!flags.quiet)
-        std::fprintf(stderr, "cluster: restarted brick %u (pid %d)\n",
-                     victim.id, victim.pid);
+        std::fprintf(stderr, "cluster: restarted brick %u\n", victim);
     }
   });
 
@@ -816,7 +783,7 @@ int main(int argc, char** argv) {
   const double seconds = static_cast<double>(now_ns() - t0) / 1e9;
 
   // Cache counters must be read before close() stops the client loops.
-  CacheTally cache;
+  fabec::fab::VolumeClient::CachedReadStats cache;
   for (auto& client : clients) {
     const auto s = client->cached_read_stats();
     cache.hits += s.hits;
@@ -825,14 +792,15 @@ int main(int argc, char** argv) {
     cache.invalidations += s.invalidations;
   }
   for (auto& client : clients) client->close();
-  reap_all(bricks, flags.quiet);
+  local.reset();
+  reap_all(procs, flags.quiet);
 
   // --- disk verification, oracle and summary --------------------------------
   const bool disks_ok = check_disks(flags, dir);
   const std::size_t violations = recorder.check();
   print_summary(flags, recorder, tally, kills_done.load(), seconds,
                 violations, cache);
-  const bool passed = violations == 0 && disks_ok;
+  const bool passed = violations == 0 && disks_ok && !restart_failed;
   if (!flags.keep && passed) {
     // Best-effort cleanup of the run directory.
     const std::string cmd = "rm -rf '" + dir + "'";
