@@ -59,9 +59,9 @@ Outcome run(double mean_gap_deltas, fab::Layout layout,
     ++outcome.ops;
     sim.schedule_at(op.at, [&, op] {
       if (op.is_write)
-        disk.write(op.lba, random_block(rng, kB), [](bool) {});
+        disk.write(op.lba, random_block(rng, kB), [](auto) {});
       else
-        disk.read(op.lba, [](std::optional<Block>) {});
+        disk.read(op.lba, [](auto) {});
     });
   }
   sim.run_until_idle();

@@ -3,7 +3,8 @@
 //   (2) one multi-block write (footnote 2, combined per-parity deltas),
 //   (3) read-modify-write of the whole stripe (the RAID-controller way:
 //       read-stripe, substitute, write-stripe).
-// Also shows the §5.2 delta optimization's payload effect on path (1).
+// Also shows the §5.2 delta optimization's payload effect on path (1):
+// write_blocks over one index is the delta block write.
 //
 // Expected shape: multi-block writes cost one operation's latency and
 // messages regardless of w and the least payload for small w; full-stripe
@@ -30,13 +31,12 @@ struct Cost {
 };
 
 struct Harness {
-  explicit Harness(bool delta_writes) : rng(3) {
+  Harness() : rng(3) {
     core::ClusterConfig config;
     config.n = kN;
     config.m = kM;
     config.block_size = kB;
     config.coordinator.auto_gc = false;
-    config.coordinator.delta_block_writes = delta_writes;
     cluster = std::make_unique<core::Cluster>(config, 1);
     std::vector<Block> stripe;
     for (std::uint32_t i = 0; i < kM; ++i)
@@ -82,7 +82,7 @@ int main() {
 
   for (std::uint32_t w = 1; w <= kM; ++w) {
     {  // (1) w single-block writes, baseline Modify
-      Harness h(false);
+      Harness h;
       const Cost c = h.measure([&] {
         for (std::uint32_t i = 0; i < w; ++i)
           h.cluster->write_block(0, 0, i, random_block(h.rng, kB));
@@ -90,15 +90,15 @@ int main() {
       print("w single writes", w, c);
     }
     {  // (1') w single-block writes with §5.2 delta payloads
-      Harness h(true);
+      Harness h;
       const Cost c = h.measure([&] {
         for (std::uint32_t i = 0; i < w; ++i)
-          h.cluster->write_block(0, 0, i, random_block(h.rng, kB));
+          h.cluster->write_blocks(0, 0, {i}, {random_block(h.rng, kB)});
       });
       print("w single writes (delta)", w, c);
     }
     {  // (2) one multi-block write
-      Harness h(false);
+      Harness h;
       const Cost c = h.measure([&] {
         std::vector<BlockIndex> js;
         std::vector<Block> blocks;
@@ -111,7 +111,7 @@ int main() {
       print("one multi-block write", w, c);
     }
     {  // (3) whole-stripe read-modify-write
-      Harness h(false);
+      Harness h;
       const Cost c = h.measure([&] {
         auto stripe = h.cluster->read_stripe(0, 0);
         for (std::uint32_t i = 0; i < w; ++i)

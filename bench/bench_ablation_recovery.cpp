@@ -64,7 +64,7 @@ void degradation() {
     Rng rng(2);
     cluster.write_stripe(0, 0, random_stripe(rng));
     if (partial) {
-      cluster.coordinator(1).write_stripe(0, random_stripe(rng), [](bool) {});
+      cluster.coordinator(1).write_stripe(0, random_stripe(rng), [](auto) {});
       cluster.simulator().run_for(sim::kDefaultDelta + 1);
       cluster.crash(1);
       cluster.simulator().run_until_idle();

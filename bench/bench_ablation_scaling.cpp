@@ -49,9 +49,9 @@ void pool_scaling() {
       sim.schedule_at(op.at, [&, op] {
         if (op.is_write)
           disk.write(op.lba, random_block(rng, config.block_size),
-                     [](bool) {});
+                     [](auto) {});
         else
-          disk.read(op.lba, [](std::optional<Block>) {});
+          disk.read(op.lba, [](auto) {});
       });
     }
     sim.run_until_idle();

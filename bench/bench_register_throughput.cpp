@@ -53,9 +53,9 @@ Result run_workload(std::uint32_t n, std::uint32_t m, double write_fraction,
       if (op.is_write) {
         ++write_ops;
         disk.write(op.lba, random_block(rng, config.block_size),
-                   [&, start](bool) { writes.record(sim.now() - start); });
+                   [&, start](auto) { writes.record(sim.now() - start); });
       } else {
-        disk.read(op.lba, [&, start](std::optional<Block>) {
+        disk.read(op.lba, [&, start](auto) {
           reads.record(sim.now() - start);
         });
       }

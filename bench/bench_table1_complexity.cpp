@@ -80,7 +80,7 @@ struct Harness {
 
   /// Leaves a partial write behind: ordered on every replica, no data.
   void make_partial_write() {
-    cluster->coordinator(1).write_stripe(0, random_stripe(), [](bool) {});
+    cluster->coordinator(1).write_stripe(0, random_stripe(), [](auto) {});
     cluster->simulator().run_for(sim::kDefaultDelta + 1);
     cluster->crash(1);
     cluster->simulator().run_until_idle();

@@ -31,7 +31,7 @@ int main() {
   // --- scenario 1: crash before the value reaches anyone --------------
   std::printf("== scenario 1: coordinator crashes after Order, before Write\n");
   const auto stripe_b = make_stripe('B');
-  cluster.coordinator(1).write_stripe(0, stripe_b, [](bool) {});
+  cluster.coordinator(1).write_stripe(0, stripe_b, [](auto) {});
   cluster.simulator().run_for(sim::kDefaultDelta + 1);  // Order delivered
   cluster.crash(1);
   cluster.simulator().run_until_idle();
@@ -48,7 +48,7 @@ int main() {
   std::printf("== scenario 2: coordinator crashes after Write delivery,\n"
               "   before acknowledging the client\n");
   const auto stripe_c = make_stripe('C');
-  cluster.coordinator(3).write_stripe(0, stripe_c, [](bool) {});
+  cluster.coordinator(3).write_stripe(0, stripe_c, [](auto) {});
   cluster.simulator().run_for(3 * sim::kDefaultDelta + 1);  // Writes landed
   cluster.crash(3);
   cluster.simulator().run_until_idle();

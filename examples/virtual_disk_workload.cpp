@@ -41,14 +41,14 @@ int main() {
       const sim::Time start = sim.now();
       if (op.is_write) {
         disk.write(op.lba, random_block(rng, config.block_size),
-                   [&, start](bool ok) {
+                   [&, start](fab::VirtualDisk::WriteOutcome r) {
                      write_lat.record(sim.now() - start);
-                     failures += ok ? 0 : 1;
+                     failures += r.ok() ? 0 : 1;
                    });
       } else {
-        disk.read(op.lba, [&, start](std::optional<Block> value) {
+        disk.read(op.lba, [&, start](fab::VirtualDisk::BlockOutcome r) {
           read_lat.record(sim.now() - start);
-          failures += value.has_value() ? 0 : 1;
+          failures += r.ok() ? 0 : 1;
         });
       }
     });

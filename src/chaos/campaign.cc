@@ -56,7 +56,6 @@ class CampaignRunner {
     cluster_cfg.code = cfg_.code;
     cluster_cfg.total_bricks = cfg_.total_bricks;
     cluster_cfg.block_size = cfg_.block_size;
-    cluster_cfg.coordinator.delta_block_writes = cfg_.delta_block_writes;
     cluster_cfg.coordinator.op_deadline = cfg_.op_deadline;
     cluster_cfg.coordinator.read_cache = cfg_.read_cache;
     cluster_cfg.batch.enabled = cfg_.batch_frames;
@@ -299,11 +298,13 @@ class CampaignRunner {
             }));
   }
 
+  /// One draw picks the second index; one draw in m leaves js = {j}, the
+  /// one-block per-destination write (§5.2's delta form).
   void issue_write_blocks(ProcessId coord, StripeId stripe, BlockIndex j,
                           std::shared_ptr<OpRecord> record) {
-    std::vector<BlockIndex> js{j, static_cast<BlockIndex>(
-                                      (j + 1 + rng_.next_below(cfg_.m - 1)) %
-                                      cfg_.m)};
+    std::vector<BlockIndex> js{j};
+    if (const auto step = rng_.next_below(cfg_.m); step != 0)
+      js.push_back(static_cast<BlockIndex>((j + step) % cfg_.m));
     std::vector<Block> data;
     std::vector<hist::ValueId> ids;
     for (std::size_t i = 0; i < js.size(); ++i) {
@@ -454,8 +455,9 @@ class CampaignRunner {
       for (int attempt = 0; attempt < 3 && !repaired; ++attempt) {
         cluster_->coordinator(pick_coordinator())
             .repair_stripe(stripe,
-                           core::Coordinator::WriteCb(
-                               [&repaired](bool ok) { repaired = ok; }));
+                           [&repaired](core::Coordinator::WriteOutcome r) {
+                             repaired = r.ok();
+                           });
         cluster_->simulator().run_until_idle();
       }
       if (!repaired) {
@@ -555,7 +557,6 @@ std::string replay_command(const CampaignConfig& config, std::uint64_t seed) {
     os << " --deadline-us " << config.op_deadline / 1000;
   if (config.client_retries != 0)
     os << " --retries " << config.client_retries;
-  if (config.delta_block_writes) os << " --delta-writes";
   if (!config.read_cache) os << " --no-read-cache";
   os << " --verbose";
   return os.str();

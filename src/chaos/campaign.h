@@ -37,7 +37,6 @@ struct CampaignConfig {
   std::uint32_t total_bricks = 0;  ///< 0 = single group
   std::uint32_t num_stripes = 4;
   std::size_t block_size = 16;
-  bool delta_block_writes = false;  ///< §5.2 wire optimization on the side
   /// Route every brick's outgoing messages through per-destination frame
   /// batching (core/batch.h): the network's drop/duplicate/reorder unit
   /// becomes a whole multi-op frame, so one lost envelope now loses many

@@ -691,106 +691,133 @@ void Coordinator::store_stripe(StripeId stripe,
 }
 
 // ---------------------------------------------------------------------
-// Algorithm 3 — single-block operations
+// Algorithm 3 and footnote 2 — block reads
 // ---------------------------------------------------------------------
 
 void Coordinator::read_block(StripeId stripe, BlockIndex j,
                              BlockOutcomeCb done) {
   ++stats_.block_reads;
-  FABEC_CHECK_MSG(j < config_.m, "read_block takes a data-block index");
+  read_data_blocks(stripe, {j}, [done = std::move(done)](StripeOutcome r) {
+    if (r.ok())
+      done(std::move((*r)[0]));
+    else
+      done(r.error());
+  });
+}
+
+void Coordinator::read_blocks(StripeId stripe, std::vector<BlockIndex> js,
+                              StripeOutcomeCb done) {
+  ++stats_.multi_block_reads;
+  read_data_blocks(stripe, std::move(js), std::move(done));
+}
+
+void Coordinator::read_data_blocks(StripeId stripe, std::vector<BlockIndex> js,
+                                   StripeOutcomeCb done) {
+  FABEC_CHECK(!js.empty());
+  for (BlockIndex j : js) FABEC_CHECK_MSG(j < config_.m, "data indices only");
+  auto shared_js =
+      std::make_shared<const std::vector<BlockIndex>>(std::move(js));
   std::vector<std::uint32_t> contacts;
-  if (const auto cached = cache_usable_ts(stripe, {j}, &contacts)) {
-    cached_probe(stripe, *cached, {j}, std::move(contacts),
-                 [this, stripe, j, done = std::move(done)](
+  if (const auto cached = cache_usable_ts(stripe, *shared_js, &contacts)) {
+    cached_probe(stripe, *cached, *shared_js, std::move(contacts),
+                 [this, stripe, shared_js, done = std::move(done)](
                      std::optional<StripeOutcome> probe) mutable {
                    if (!probe.has_value()) {
-                     read_block_quorum(stripe, j, std::move(done));
+                     read_blocks_quorum(stripe, shared_js, std::move(done));
                      return;
                    }
-                   if (probe->ok())
-                     done(std::move((**probe)[0]));
-                   else
-                     done(probe->error());
+                   done(std::move(*probe));
                  });
     return;
   }
-  read_block_quorum(stripe, j, std::move(done));
+  read_blocks_quorum(stripe, shared_js, std::move(done));
 }
 
-void Coordinator::read_block_quorum(StripeId stripe, BlockIndex j,
-                                    BlockOutcomeCb done) {
+void Coordinator::read_blocks_quorum(StripeId stripe, BlockList js,
+                                     StripeOutcomeCb done) {
   start_rpc<ReadRep>(
       layout_->group(stripe),
-      [stripe, j](std::uint32_t, OpId op) -> Message {
-        return ReadReq{stripe, op, {j}};
+      [stripe, js](std::uint32_t, OpId op) -> Message {
+        return ReadReq{stripe, op, {js->begin(), js->end()}};
       },
-      [this, stripe, j, done = std::move(done)](Replies& replies,
-                                                bool timed_out) {
+      [this, stripe, js, done = std::move(done)](Replies& replies,
+                                                 bool timed_out) {
         if (timed_out) {
           done(OpError::kTimeout);
           return;
         }
         // Lines 63-64: single-round success if no partial write is visible
-        // anywhere and p_j returned its block.
+        // anywhere and every p_j returned its block.
         std::optional<Timestamp> val_ts;
-        bool consistent = true;
         for (const auto& r : replies) {
           const ReadRep* rep = as<ReadRep>(r);
           if (rep == nullptr) continue;
           if (!rep->status || (val_ts.has_value() && *val_ts != rep->val_ts)) {
-            consistent = false;
-            break;
+            // Lines 65-69: reconstruct via recovery and project js.
+            recover_read_blocks(stripe, js, done);
+            return;
           }
           val_ts = rep->val_ts;
         }
-        const ReadRep* from_j = as<ReadRep>(replies[j]);
-        if (consistent && from_j != nullptr && from_j->block.has_value()) {
+        std::vector<Block> out(js->size());
+        std::vector<std::size_t> missing;
+        for (std::size_t i = 0; i < js->size(); ++i) {
+          const ReadRep* rep = as<ReadRep>(replies[(*js)[i]]);
+          if (rep != nullptr && rep->block.has_value())
+            out[i] = *rep->block;
+          else
+            missing.push_back(i);
+        }
+        if (missing.empty()) {
           ++stats_.fast_read_hits;
           if (val_ts.has_value()) cache_put(stripe, *val_ts);
-          done(*from_j->block);
+          done(std::move(out));
           return;
         }
-        if (consistent && val_ts.has_value()) {
-          // Every reply is clean at ONE common complete version; only p_j's
-          // block is missing (silent brick or a CRC-failed block served as
-          // an erasure). Reconstruct block j at exactly that version from
-          // the repair plan's sources — for LRC, the lost block's local
-          // group — instead of paying a full recovery write-back.
-          std::vector<BlockIndex> alive;
-          for (std::uint32_t pos = 0; pos < config_.n; ++pos)
-            if (pos != j && as<ReadRep>(replies[pos]) != nullptr)
-              alive.push_back(pos);
-          degraded_read_block(stripe, j, *val_ts, std::move(alive),
-                              std::move(done));
+        if (missing.size() > 1 || !val_ts.has_value()) {
+          recover_read_blocks(stripe, js, done);
           return;
         }
-        // Lines 65-69: reconstruct via recovery and project block j.
-        recover_read_block(stripe, j, std::move(done));
+        // Every reply is clean at ONE common complete version; only one
+        // requested block is missing (silent brick or a CRC-failed block
+        // served as an erasure). Reconstruct it at exactly that version from
+        // the repair plan's sources — for LRC, the lost block's local group
+        // — instead of paying a full recovery write-back.
+        const BlockIndex lost = (*js)[missing[0]];
+        std::vector<BlockIndex> alive;
+        for (std::uint32_t pos = 0; pos < config_.n; ++pos)
+          if (pos != lost && as<ReadRep>(replies[pos]) != nullptr)
+            alive.push_back(pos);
+        degraded_read_blocks(stripe, js, std::move(out), missing[0], *val_ts,
+                             std::move(alive), done);
       },
-      {j});
+      std::vector<std::uint32_t>(js->begin(), js->end()));
 }
 
-void Coordinator::recover_read_block(StripeId stripe, BlockIndex j,
-                                     BlockOutcomeCb done) {
-  recover(stripe,
-          [this, j, done = std::move(done)](StripeOutcome stripe_value) {
-            if (!stripe_value.ok()) {
-              if (stripe_value.error() == OpError::kAborted) ++stats_.aborts;
-              done(stripe_value.error());
-              return;
-            }
-            done(std::move((*stripe_value)[j]));
-          });
+void Coordinator::recover_read_blocks(StripeId stripe, BlockList js,
+                                      StripeOutcomeCb done) {
+  recover(stripe, [this, js, done = std::move(done)](StripeOutcome value) {
+    if (!value.ok()) {
+      if (value.error() == OpError::kAborted) ++stats_.aborts;
+      done(value.error());
+      return;
+    }
+    std::vector<Block> out;
+    out.reserve(js->size());
+    for (BlockIndex j : *js) out.push_back((*value)[j]);
+    done(std::move(out));
+  });
 }
 
-void Coordinator::degraded_read_block(StripeId stripe, BlockIndex j,
-                                      Timestamp val_ts,
-                                      std::vector<BlockIndex> alive,
-                                      BlockOutcomeCb done) {
+void Coordinator::degraded_read_blocks(StripeId stripe, BlockList js,
+                                       std::vector<Block> out,
+                                       std::size_t missing, Timestamp val_ts,
+                                       std::vector<BlockIndex> alive,
+                                       StripeOutcomeCb done) {
   auto plan = std::make_shared<const std::optional<erasure::RepairPlan>>(
-      codec_->repair_plan(j, alive));
+      codec_->repair_plan((*js)[missing], alive));
   if (!plan->has_value()) {
-    recover_read_block(stripe, j, std::move(done));
+    recover_read_blocks(stripe, js, std::move(done));
     return;
   }
   // One validated round to the plan's sources only (the sub-quorum contact
@@ -808,8 +835,8 @@ void Coordinator::degraded_read_block(StripeId stripe, BlockIndex j,
         req.validate_ts = val_ts;
         return req;
       },
-      [this, stripe, j, plan, sources, done = std::move(done)](
-          Replies& replies, bool timed_out) mutable {
+      [this, stripe, js, out = std::move(out), missing, plan, sources,
+       done = std::move(done)](Replies& replies, bool timed_out) mutable {
         bool confirmed = !timed_out;
         std::vector<erasure::ShardView> shards;
         if (confirmed) {
@@ -824,265 +851,31 @@ void Coordinator::degraded_read_block(StripeId stripe, BlockIndex j,
         }
         if (!confirmed) {
           ++stats_.degraded_read_fallbacks;
-          recover_read_block(stripe, j, std::move(done));
+          recover_read_blocks(stripe, js, std::move(done));
           return;
         }
         ++stats_.degraded_reads;
-        done(codec_->reconstruct(**plan, shards));
+        out[missing] = codec_->reconstruct(**plan, shards);
+        done(std::move(out));
       },
       message_kind_of<ReadRep>, /*wait_for=*/{},
       std::vector<std::uint32_t>(sources->begin(), sources->end()));
 }
 
+// ---------------------------------------------------------------------
+// Algorithm 3 and footnote 2 — block writes
+// ---------------------------------------------------------------------
+
 void Coordinator::write_block(StripeId stripe, BlockIndex j, Block block,
                               WriteOutcomeCb done) {
   ++stats_.block_writes;
   FABEC_CHECK_MSG(j < config_.m, "write_block takes a data-block index");
-  const Timestamp ts = ts_source_->next();
-  // The payload is materialized exactly once; the fast and slow paths (and
-  // every per-destination request) serialize straight out of this buffer.
-  auto shared_block = std::make_shared<const Block>(std::move(block));
-  fast_write_block(stripe, j, shared_block, ts,
-                   [this, stripe, j, shared_block, ts,
-                    done = std::move(done)](WriteOutcome fast) {
-                     if (fast.ok()) {
-                       ++stats_.fast_block_write_hits;
-                       done(std::move(fast));
-                       return;
-                     }
-                     if (fast.error() == OpError::kTimeout) {
-                       // Same deadline discipline as reads: no slow path
-                       // after a timed-out round.
-                       done(std::move(fast));
-                       return;
-                     }
-                     slow_write_block(
-                         stripe, j, shared_block, ts,
-                         [this, stripe, done = std::move(done)](
-                             WriteOutcome slow) {
-                           if (slow.ok() ||
-                               slow.error() != OpError::kAborted) {
-                             done(std::move(slow));
-                             return;
-                           }
-                           // The op is ⊥ either way, but an aborted slow
-                           // path can mean the stripe is torn in a shape
-                           // the fast path keeps tripping over (e.g. one
-                           // degraded brick soaked up a partial Modify no
-                           // other replica accepted). A read would heal it
-                           // via recover(); a write-only client would
-                           // livelock its retries. Converge the stripe
-                           // under a fresh recovery ts — rolling the torn
-                           // state forward or back exactly as a read
-                           // would — then report the abort so the retry
-                           // starts from a consistent stripe.
-                           ++stats_.write_repairs;
-                           recover(stripe, [done = std::move(done)](
-                                               StripeOutcome) {
-                             done(OpError::kAborted);
-                           });
-                         });
-                   });
-}
-
-void Coordinator::fast_write_block(StripeId stripe, BlockIndex j,
-                                   std::shared_ptr<const Block> block,
-                                   Timestamp ts, WriteOutcomeCb done) {
-  // Lines 75-79: order the write and fetch p_j's current block + timestamp.
-  start_rpc<OrderReadRep>(
-      layout_->group(stripe),
-      [stripe, j, ts](std::uint32_t, OpId op) -> Message {
-        return OrderReadReq{stripe, op, j, kHighTS, ts};
-      },
-      [this, stripe, j, block, ts, done = std::move(done)](Replies& replies,
-                                                           bool timed_out) {
-        if (timed_out) {
-          done(OpError::kTimeout);
-          return;
-        }
-        const OrderReadRep* from_j = as<OrderReadRep>(replies[j]);
-        if (!all_status_true<OrderReadRep>(replies) || from_j == nullptr ||
-            !from_j->block.has_value()) {
-          // The order-read advanced ord-ts wherever it landed; any cached
-          // probe would see status=false there. Drop the entry now.
-          cache_invalidate(stripe);
-          done(OpError::kAborted);
-          return;
-        }
-        auto old_block = std::make_shared<Block>(*from_j->block);
-        const Timestamp ts_j = from_j->lts;
-        auto on_modify_complete = [this, stripe, ts, done](
-                                      Replies& modify_replies,
-                                      bool modify_timed_out) {
-          if (modify_timed_out) {
-            cache_invalidate(stripe);
-            done(OpError::kTimeout);
-            return;
-          }
-          if (!all_status_true<ModifyRep>(modify_replies)) {
-            cache_invalidate(stripe);
-            done(OpError::kAborted);
-            return;
-          }
-          // Full-quorum Modify: the stripe is uniformly at ts — cacheable.
-          cache_put(stripe, ts);
-          maybe_send_gc(stripe, ts);
-          done(Ack{});
-        };
-        if (options_.delta_block_writes) {
-          // §5.2 optimization: ship one delta block instead of (old, new)
-          // pairs, and only to the processes that need a payload at all.
-          auto delta = std::make_shared<Block>(*old_block);
-          xor_into(*delta, *block);
-          start_rpc<ModifyRep>(
-              layout_->group(stripe),
-              [this, stripe, j, delta, block, ts_j,
-               ts](std::uint32_t pos, OpId op) -> Message {
-                ModifyDeltaReq req{stripe, op, j, std::nullopt, ts_j, ts};
-                if (pos == j)
-                  req.block = *block;
-                else if (pos >= config_.m)
-                  req.block = *delta;
-                return req;
-              },
-              std::move(on_modify_complete));
-          return;
-        }
-        // Lines 80-82: apply the data write at p_j and the incremental
-        // parity update everywhere else.
-        start_rpc<ModifyRep>(
-            layout_->group(stripe),
-            [stripe, j, old_block, block, ts_j,
-             ts](std::uint32_t, OpId op) -> Message {
-              return ModifyReq{stripe, op, j, *old_block, *block, ts_j, ts};
-            },
-            std::move(on_modify_complete));
-      },
-      {j});
-}
-
-void Coordinator::slow_write_block(StripeId stripe, BlockIndex j,
-                                   std::shared_ptr<const Block> block,
-                                   Timestamp ts, WriteOutcomeCb done) {
-  ++stats_.slow_block_writes;
-  ++stats_.recoveries_started;
-  cache_invalidate(stripe);  // the aborted fast round already moved ord-ts
-  // The slow path MUST reuse the operation's timestamp: the aborted fast
-  // round may have applied its Modify on a subset of replicas, and if the
-  // store-stripe below ran under a fresh ts the operation would occupy two
-  // places in the version order — a concurrent writer landing between them
-  // makes readers observe A, B, A, which no total order explains. If a
-  // replica holds a version at this very ts (its own partial Modify), its
-  // order-read veto aborts the slow path instead; write_block then repairs
-  // the stripe under a genuinely fresh ts before reporting ⊥.
-  auto state = std::make_shared<RecoverState>();
-  state->stripe = stripe;
-  state->ts = ts;
-  state->bound = kHighTS;
-  // Lines 84-87: reconstruct the previous stripe, substitute block j, and
-  // write the whole stripe back under this operation's timestamp.
-  state->done = [this, stripe, j, block, ts,
-                 done = std::move(done)](StripeOutcome prev) {
-    if (!prev.ok()) {
-      if (prev.error() == OpError::kAborted) ++stats_.aborts;
-      done(prev.error());
-      return;
-    }
-    auto value = std::make_shared<std::vector<Block>>(std::move(*prev));
-    (*value)[j] = *block;
-    store_stripe(stripe, std::move(value), ts,
-                 [this, done](WriteOutcome stored) {
-                   if (!stored.ok() && stored.error() == OpError::kAborted)
-                     ++stats_.aborts;
-                   done(std::move(stored));
-                 });
-  };
-  read_prev_stripe(std::move(state));
-}
-
-// ---------------------------------------------------------------------
-// Footnote 2 — multi-block operations
-// ---------------------------------------------------------------------
-
-void Coordinator::read_blocks(StripeId stripe, std::vector<BlockIndex> js,
-                              StripeOutcomeCb done) {
-  ++stats_.multi_block_reads;
-  FABEC_CHECK(!js.empty());
-  for (BlockIndex j : js) FABEC_CHECK_MSG(j < config_.m, "data indices only");
-  auto shared_js = std::make_shared<std::vector<BlockIndex>>(std::move(js));
-  std::vector<std::uint32_t> contacts;
-  if (const auto cached = cache_usable_ts(stripe, *shared_js, &contacts)) {
-    cached_probe(stripe, *cached, *shared_js, std::move(contacts),
-                 [this, stripe, shared_js, done = std::move(done)](
-                     std::optional<StripeOutcome> probe) mutable {
-                   if (!probe.has_value()) {
-                     read_blocks_quorum(stripe, shared_js, std::move(done));
-                     return;
-                   }
-                   done(std::move(*probe));
-                 });
-    return;
-  }
-  read_blocks_quorum(stripe, shared_js, std::move(done));
-}
-
-void Coordinator::read_blocks_quorum(
-    StripeId stripe, std::shared_ptr<std::vector<BlockIndex>> shared_js,
-    StripeOutcomeCb done) {
-  std::vector<ProcessId> targets(shared_js->begin(), shared_js->end());
-  start_rpc<ReadRep>(
-      layout_->group(stripe),
-      [stripe, targets](std::uint32_t, OpId op) -> Message {
-        return ReadReq{stripe, op, targets};
-      },
-      [this, stripe, shared_js, done = std::move(done)](Replies& replies,
-                                                        bool timed_out) {
-        if (timed_out) {
-          done(OpError::kTimeout);
-          return;
-        }
-        std::optional<Timestamp> val_ts;
-        bool consistent = true;
-        for (const auto& r : replies) {
-          const ReadRep* rep = as<ReadRep>(r);
-          if (rep == nullptr) continue;
-          if (!rep->status || (val_ts.has_value() && *val_ts != rep->val_ts)) {
-            consistent = false;
-            break;
-          }
-          val_ts = rep->val_ts;
-        }
-        if (consistent) {
-          std::vector<Block> out;
-          out.reserve(shared_js->size());
-          for (BlockIndex j : *shared_js) {
-            const ReadRep* rep = as<ReadRep>(replies[j]);
-            if (rep == nullptr || !rep->block.has_value()) {
-              consistent = false;
-              break;
-            }
-            out.push_back(*rep->block);
-          }
-          if (consistent) {
-            ++stats_.fast_read_hits;
-            if (val_ts.has_value()) cache_put(stripe, *val_ts);
-            done(std::move(out));
-            return;
-          }
-        }
-        recover(stripe, [this, shared_js, done](StripeOutcome stripe_value) {
-          if (!stripe_value.ok()) {
-            if (stripe_value.error() == OpError::kAborted) ++stats_.aborts;
-            done(stripe_value.error());
-            return;
-          }
-          std::vector<Block> out;
-          out.reserve(shared_js->size());
-          for (BlockIndex j : *shared_js) out.push_back((*stripe_value)[j]);
-          done(std::move(out));
-        });
-      },
-      std::vector<std::uint32_t>(shared_js->begin(), shared_js->end()));
+  auto w = std::make_shared<BlockWrite>();
+  w->stripe = stripe;
+  w->js = {j};
+  w->blocks.push_back(std::move(block));
+  w->paper_modify = true;
+  run_block_write(std::move(w), std::move(done));
 }
 
 void Coordinator::write_blocks(StripeId stripe, std::vector<BlockIndex> js,
@@ -1094,148 +887,179 @@ void Coordinator::write_blocks(StripeId stripe, std::vector<BlockIndex> js,
     for (std::size_t l = i + 1; l < js.size(); ++l)
       FABEC_CHECK_MSG(js[i] != js[l], "indices must be distinct");
   }
-  const Timestamp ts = ts_source_->next();
-  auto shared_js = std::make_shared<std::vector<BlockIndex>>(std::move(js));
-  auto shared_blocks =
-      std::make_shared<std::vector<Block>>(std::move(blocks));
-  fast_write_blocks(
-      stripe, shared_js, shared_blocks, ts,
-      [this, stripe, shared_js, shared_blocks, ts,
-       done = std::move(done)](WriteOutcome fast) {
-        if (fast.ok()) {
-          ++stats_.fast_block_write_hits;
-          done(std::move(fast));
-          return;
-        }
-        if (fast.error() == OpError::kTimeout) {
-          done(std::move(fast));
-          return;
-        }
-        slow_write_blocks(
-            stripe, shared_js, shared_blocks, ts,
-            [this, stripe, done = std::move(done)](WriteOutcome slow) {
-              if (slow.ok() || slow.error() != OpError::kAborted) {
-                done(std::move(slow));
-                return;
-              }
-              // Same retry-livelock breaker as write_block.
-              ++stats_.write_repairs;
-              recover(stripe, [done = std::move(done)](StripeOutcome) {
-                done(OpError::kAborted);
-              });
-            });
-      });
+  auto w = std::make_shared<BlockWrite>();
+  w->stripe = stripe;
+  w->js = std::move(js);
+  w->blocks = std::move(blocks);
+  run_block_write(std::move(w), std::move(done));
 }
 
-void Coordinator::fast_write_blocks(
-    StripeId stripe, std::shared_ptr<std::vector<BlockIndex>> js,
-    std::shared_ptr<std::vector<Block>> blocks, Timestamp ts,
-    WriteOutcomeCb done) {
+void Coordinator::run_block_write(std::shared_ptr<BlockWrite> write,
+                                  WriteOutcomeCb done) {
+  write->ts = ts_source_->next();
+  const BlockWritePtr w = std::move(write);
+  fast_write_blocks(w, [this, w, done = std::move(done)](WriteOutcome fast) {
+    if (fast.ok()) {
+      ++stats_.fast_block_write_hits;
+      done(std::move(fast));
+      return;
+    }
+    if (fast.error() == OpError::kTimeout) {
+      // Same deadline discipline as reads: no slow path after a timed-out
+      // round.
+      done(std::move(fast));
+      return;
+    }
+    slow_write_blocks(w, [this, w, done = std::move(done)](WriteOutcome slow) {
+      if (slow.ok() || slow.error() != OpError::kAborted) {
+        done(std::move(slow));
+        return;
+      }
+      // The op is ⊥ either way, but an aborted slow path can mean the
+      // stripe is torn in a shape the fast path keeps tripping over (e.g.
+      // one degraded brick soaked up a partial Modify no other replica
+      // accepted). A read would heal it via recover(); a write-only client
+      // would livelock its retries. Converge the stripe under a fresh
+      // recovery ts — rolling the torn state forward or back exactly as a
+      // read would — then report the abort so the retry starts from a
+      // consistent stripe.
+      ++stats_.write_repairs;
+      recover(w->stripe, [done = std::move(done)](StripeOutcome) {
+        done(OpError::kAborted);
+      });
+    });
+  });
+}
+
+void Coordinator::fast_write_blocks(BlockWritePtr w, WriteOutcomeCb done) {
+  // Lines 75-79: order the write and fetch each p_j's current block and
+  // timestamp.
   start_rpc<OrderReadRep>(
-      layout_->group(stripe),
-      [stripe, js, ts](std::uint32_t, OpId op) -> Message {
-        return MultiOrderReadReq{stripe, op, *js, ts};
+      layout_->group(w->stripe),
+      [w](std::uint32_t, OpId op) -> Message {
+        if (w->paper_modify)
+          return OrderReadReq{w->stripe, op, w->js[0], kHighTS, w->ts};
+        return MultiOrderReadReq{w->stripe, op, w->js, w->ts};
       },
-      [this, stripe, js, blocks, ts, done = std::move(done)](Replies& replies,
-                                                             bool timed_out) {
+      [this, w, done = std::move(done)](Replies& replies, bool timed_out) {
         if (timed_out) {
           done(OpError::kTimeout);
           return;
         }
-        // Fast path needs: all statuses true, every updated process
-        // answered with its block, and one common version across ALL
-        // replicas (so the Modify precondition ts_j = max-ts holds
-        // everywhere).
+        // Fast path needs: all statuses true and every written process
+        // answered with its block. Per-destination deltas also need one
+        // common version across ALL replicas, so the Modify precondition
+        // ts_j = max-ts holds everywhere; the paper's Modify carries ts_j
+        // from p_j and lets each replica check it.
+        bool ok = true;
         std::optional<Timestamp> common;
         for (const auto& r : replies) {
           const OrderReadRep* rep = as<OrderReadRep>(r);
           if (rep == nullptr) continue;
-          if (!rep->status || (common.has_value() && *common != rep->lts)) {
-            cache_invalidate(stripe);  // ord-ts moved on some replicas
-            done(OpError::kAborted);
-            return;
+          if (!rep->status || (!w->paper_modify && common.has_value() &&
+                               *common != rep->lts)) {
+            ok = false;
+            break;
           }
-          common = rep->lts;
+          if (!w->paper_modify) common = rep->lts;
         }
         std::vector<const Block*> old_blocks;
-        for (BlockIndex j : *js) {
-          const OrderReadRep* rep = as<OrderReadRep>(replies[j]);
-          if (rep == nullptr || !rep->block.has_value()) {
-            cache_invalidate(stripe);
-            done(OpError::kAborted);
-            return;
-          }
-          old_blocks.push_back(&*rep->block);
+        for (std::size_t i = 0; ok && i < w->js.size(); ++i) {
+          const OrderReadRep* rep = as<OrderReadRep>(replies[w->js[i]]);
+          ok = rep != nullptr && rep->block.has_value();
+          if (ok) old_blocks.push_back(&*rep->block);
         }
-        const Timestamp ts_j = *common;
-        // Combined per-parity deltas: Δ_p = Σ_j G[p][j]·(old_j ^ new_j).
-        const std::size_t block_size = old_blocks[0]->size();
-        auto deltas = std::make_shared<std::vector<Block>>();
-        for (std::uint32_t p = config_.m; p < config_.n; ++p) {
-          Block delta(block_size, 0);
-          for (std::size_t i = 0; i < js->size(); ++i) {
-            Block d = *old_blocks[i];
-            xor_into(d, (*blocks)[i]);
-            codec_->apply_modify_delta((*js)[i], p, d, delta);
-          }
-          deltas->push_back(std::move(delta));
+        if (!ok) {
+          // The order-read advanced ord-ts wherever it landed; any cached
+          // probe would see status=false there. Drop the entry now.
+          cache_invalidate(w->stripe);
+          done(OpError::kAborted);
+          return;
         }
+        const Timestamp ts_j = w->paper_modify
+                                   ? as<OrderReadRep>(replies[w->js[0]])->lts
+                                   : *common;
         start_rpc<ModifyRep>(
-            layout_->group(stripe),
-            [this, stripe, js, blocks, deltas, ts_j,
-             ts](std::uint32_t pos, OpId op) -> Message {
-              MultiModifyReq req{stripe, op, *js, std::nullopt, ts_j, ts};
-              for (std::size_t i = 0; i < js->size(); ++i)
-                if (pos == (*js)[i]) req.block = (*blocks)[i];
-              if (pos >= config_.m)
-                req.block = (*deltas)[pos - config_.m];
-              return req;
-            },
-            [this, stripe, ts, done](Replies& modify_replies,
-                                     bool modify_timed_out) {
-              if (modify_timed_out) {
-                cache_invalidate(stripe);
-                done(OpError::kTimeout);
+            layout_->group(w->stripe), modify_request(w, old_blocks, ts_j),
+            [this, w, done](Replies& modify_replies, bool modify_timed_out) {
+              if (modify_timed_out ||
+                  !all_status_true<ModifyRep>(modify_replies)) {
+                cache_invalidate(w->stripe);
+                done(modify_timed_out ? OpError::kTimeout : OpError::kAborted);
                 return;
               }
-              if (!all_status_true<ModifyRep>(modify_replies)) {
-                cache_invalidate(stripe);
-                done(OpError::kAborted);
-                return;
-              }
-              // Full-quorum MultiModify: stripe uniformly at ts.
-              cache_put(stripe, ts);
-              maybe_send_gc(stripe, ts);
+              // Full-quorum Modify: the stripe is uniformly at ts, cacheable.
+              cache_put(w->stripe, w->ts);
+              maybe_send_gc(w->stripe, w->ts);
               done(Ack{});
             });
       },
-      std::vector<std::uint32_t>(js->begin(), js->end()));
+      std::vector<std::uint32_t>(w->js.begin(), w->js.end()));
 }
 
-void Coordinator::slow_write_blocks(
-    StripeId stripe, std::shared_ptr<std::vector<BlockIndex>> js,
-    std::shared_ptr<std::vector<Block>> blocks, Timestamp ts,
-    WriteOutcomeCb done) {
+std::function<Message(std::uint32_t, OpId)> Coordinator::modify_request(
+    BlockWritePtr w, const std::vector<const Block*>& old_blocks,
+    Timestamp ts_j) const {
+  if (w->paper_modify) {
+    // Lines 80-82: apply the data write at p_j and the incremental parity
+    // update everywhere else.
+    auto old_block = std::make_shared<const Block>(*old_blocks[0]);
+    return [w, old_block, ts_j](std::uint32_t, OpId op) -> Message {
+      return ModifyReq{w->stripe,    op,   w->js[0], *old_block,
+                       w->blocks[0], ts_j, w->ts};
+    };
+  }
+  // Combined per-parity deltas: Δ_p = Σ_j G[p][j]·(old_j ^ new_j).
+  const std::size_t block_size = old_blocks[0]->size();
+  auto deltas = std::make_shared<std::vector<Block>>();
+  for (std::uint32_t p = config_.m; p < config_.n; ++p) {
+    Block delta(block_size, 0);
+    for (std::size_t i = 0; i < w->js.size(); ++i) {
+      Block d = *old_blocks[i];
+      xor_into(d, w->blocks[i]);
+      codec_->apply_modify_delta(w->js[i], p, d, delta);
+    }
+    deltas->push_back(std::move(delta));
+  }
+  return [w, deltas, ts_j, m = config_.m](std::uint32_t pos,
+                                         OpId op) -> Message {
+    MultiModifyReq req{w->stripe, op, w->js, std::nullopt, ts_j, w->ts};
+    for (std::size_t i = 0; i < w->js.size(); ++i)
+      if (pos == w->js[i]) req.block = w->blocks[i];
+    if (pos >= m) req.block = (*deltas)[pos - m];
+    return req;
+  };
+}
+
+void Coordinator::slow_write_blocks(BlockWritePtr w, WriteOutcomeCb done) {
   ++stats_.slow_block_writes;
   ++stats_.recoveries_started;
-  cache_invalidate(stripe);  // the aborted fast round already moved ord-ts
-  // Same at-most-once rule as slow_write_block: reuse the operation's ts so
-  // the write occupies a single place in the version order.
+  cache_invalidate(w->stripe);  // the aborted fast round already moved ord-ts
+  // The slow path MUST reuse the operation's timestamp: the aborted fast
+  // round may have applied its Modify on a subset of replicas, and if the
+  // store-stripe below ran under a fresh ts the operation would occupy two
+  // places in the version order — a concurrent writer landing between them
+  // makes readers observe A, B, A, which no total order explains. If a
+  // replica holds a version at this very ts (its own partial Modify), its
+  // order-read veto aborts the slow path instead; run_block_write then
+  // repairs the stripe under a genuinely fresh ts before reporting ⊥.
   auto state = std::make_shared<RecoverState>();
-  state->stripe = stripe;
-  state->ts = ts;
+  state->stripe = w->stripe;
+  state->ts = w->ts;
   state->bound = kHighTS;
-  state->done = [this, stripe, js, blocks, ts,
-                 done = std::move(done)](StripeOutcome prev) {
+  // Lines 84-87: reconstruct the previous stripe, substitute the written
+  // blocks, and write the whole stripe back under this operation's
+  // timestamp.
+  state->done = [this, w, done = std::move(done)](StripeOutcome prev) {
     if (!prev.ok()) {
       if (prev.error() == OpError::kAborted) ++stats_.aborts;
       done(prev.error());
       return;
     }
     auto value = std::make_shared<std::vector<Block>>(std::move(*prev));
-    for (std::size_t i = 0; i < js->size(); ++i)
-      (*value)[(*js)[i]] = (*blocks)[i];
-    store_stripe(stripe, std::move(value), ts,
+    for (std::size_t i = 0; i < w->js.size(); ++i)
+      (*value)[w->js[i]] = w->blocks[i];
+    store_stripe(w->stripe, std::move(value), w->ts,
                  [this, done](WriteOutcome stored) {
                    if (!stored.ok() && stored.error() == OpError::kAborted)
                      ++stats_.aborts;
@@ -1346,14 +1170,6 @@ void Coordinator::write_rebuilt_block(StripeId stripe, BlockIndex lost,
       /*contacts=*/{static_cast<std::uint32_t>(lost)});
 }
 
-void Coordinator::rebuild_block(StripeId stripe, BlockIndex lost,
-                                WriteCb done) {
-  rebuild_block(stripe, lost,
-                WriteOutcomeCb([done = std::move(done)](WriteOutcome r) {
-                  done(r.ok());
-                }));
-}
-
 void Coordinator::scrub_stripe(StripeId stripe, ScrubCb done) {
   scrub_stripe(stripe,
                ScrubExCb([done = std::move(done)](
@@ -1454,63 +1270,6 @@ void Coordinator::maybe_send_gc(StripeId stripe, Timestamp complete_ts) {
     ++stats_.gc_messages;
     send_(brick, GcReq{stripe, complete_ts});
   }
-}
-
-// ---------------------------------------------------------------------
-// Legacy adapters: the seed's optional/bool interface over the typed one.
-// ---------------------------------------------------------------------
-
-void Coordinator::read_stripe(StripeId stripe, StripeCb done) {
-  read_stripe(stripe, StripeOutcomeCb([done = std::move(done)](
-                          StripeOutcome r) {
-    done(r.ok() ? StripeResult(std::move(*r)) : std::nullopt);
-  }));
-}
-
-void Coordinator::write_stripe(StripeId stripe, std::vector<Block> data,
-                               WriteCb done) {
-  write_stripe(stripe, std::move(data),
-               WriteOutcomeCb([done = std::move(done)](WriteOutcome r) {
-                 done(r.ok());
-               }));
-}
-
-void Coordinator::read_block(StripeId stripe, BlockIndex j, BlockCb done) {
-  read_block(stripe, j, BlockOutcomeCb([done = std::move(done)](
-                            BlockOutcome r) {
-    done(r.ok() ? BlockResult(std::move(*r)) : std::nullopt);
-  }));
-}
-
-void Coordinator::write_block(StripeId stripe, BlockIndex j, Block block,
-                              WriteCb done) {
-  write_block(stripe, j, std::move(block),
-              WriteOutcomeCb([done = std::move(done)](WriteOutcome r) {
-                done(r.ok());
-              }));
-}
-
-void Coordinator::read_blocks(StripeId stripe, std::vector<BlockIndex> js,
-                              StripeCb done) {
-  read_blocks(stripe, std::move(js),
-              StripeOutcomeCb([done = std::move(done)](StripeOutcome r) {
-                done(r.ok() ? StripeResult(std::move(*r)) : std::nullopt);
-              }));
-}
-
-void Coordinator::write_blocks(StripeId stripe, std::vector<BlockIndex> js,
-                               std::vector<Block> blocks, WriteCb done) {
-  write_blocks(stripe, std::move(js), std::move(blocks),
-               WriteOutcomeCb([done = std::move(done)](WriteOutcome r) {
-                 done(r.ok());
-               }));
-}
-
-void Coordinator::repair_stripe(StripeId stripe, WriteCb done) {
-  repair_stripe(stripe,
-                WriteOutcomeCb([done = std::move(done)](WriteOutcome r) {
-                  done(r.ok());
-                }));
 }
 
 }  // namespace fabec::core

@@ -8,11 +8,17 @@
 // callbacks. All continuations are volatile — a coordinator crash abandons
 // every in-flight operation, which is precisely how partial writes arise.
 //
-// Operation results come in two forms. The typed overloads yield an
-// Outcome<T> whose OpError distinguishes the paper's contention abort from
-// a deadline expiry (core/outcome.h, DESIGN.md §9). The legacy overloads
-// keep the seed's std::optional / bool shape — nullopt (or false) is the
-// paper's ⊥ — and are thin adapters over the typed ones.
+// Every operation yields an Outcome<T>: a value, or the paper's ⊥ with an
+// OpError that distinguishes a contention abort from a deadline expiry
+// (core/outcome.h, DESIGN.md §9).
+//
+// Algorithm 3's single-block operations and footnote 2's multi-block ones
+// are one protocol over different index sets, and share one code path:
+// read_block(j) is read_blocks({j}), and write_block / write_blocks share one
+// sequence (fast round, slow path, write-repair) that differs only in the
+// fast round's message shape — the paper's OrderRead(j) + Modify(old, new)
+// for write_block, per-destination MultiOrderRead + MultiModify for
+// write_blocks (over one index, that is §5.2's (k+2)B delta write).
 //
 // Liveness machinery (DESIGN.md §9): each quorum RPC retransmits with
 // exponential backoff and deterministic jitter instead of a fixed period, a
@@ -87,13 +93,6 @@ struct CoordinatorStats {
 class Coordinator {
  public:
   using SendFn = std::function<void(ProcessId dest, Message msg)>;
-  using StripeResult = std::optional<std::vector<Block>>;
-  using BlockResult = std::optional<Block>;
-  using StripeCb = std::function<void(StripeResult)>;
-  using BlockCb = std::function<void(BlockResult)>;
-  using WriteCb = std::function<void(bool)>;
-
-  // Typed outcomes: same ⊥ semantics, but the failure reason is named.
   using StripeOutcome = Outcome<std::vector<Block>>;
   using BlockOutcome = Outcome<Block>;
   using WriteOutcome = Outcome<Ack>;
@@ -129,12 +128,6 @@ class Coordinator {
     std::uint32_t suspect_probe_period = 4;
     /// Send Gc messages after writes known complete on a full quorum (§5.1).
     bool auto_gc = true;
-    /// Use §5.2's bandwidth-optimized block-write path: the Modify round
-    /// carries per-destination payloads (new block to p_j, one coded delta
-    /// block to each parity process, nothing to other data processes) —
-    /// (k+2)B on the wire per block write instead of (2n+1)B. Protocol
-    /// semantics are unchanged.
-    bool delta_block_writes = false;
     /// How long quorum() keeps waiting, after n - f replies have arrived,
     /// for the specific replicas a fast path needs (the read targets / the
     /// written block's p_j). 0 = don't wait: correct and what Table 1
@@ -169,35 +162,31 @@ class Coordinator {
 
   // --- Algorithm 1: whole-stripe access -------------------------------
   /// read-stripe: yields the m data blocks, or ⊥ on abort.
-  void read_stripe(StripeId stripe, StripeCb done);
   void read_stripe(StripeId stripe, StripeOutcomeCb done);
   /// write-stripe: `data` must be exactly m blocks of the codec's size.
-  void write_stripe(StripeId stripe, std::vector<Block> data, WriteCb done);
   void write_stripe(StripeId stripe, std::vector<Block> data,
                     WriteOutcomeCb done);
 
-  // --- Algorithm 3: single-block access -------------------------------
-  void read_block(StripeId stripe, BlockIndex j, BlockCb done);
-  void read_block(StripeId stripe, BlockIndex j, BlockOutcomeCb done);
-  void write_block(StripeId stripe, BlockIndex j, Block block, WriteCb done);
-  void write_block(StripeId stripe, BlockIndex j, Block block,
-                   WriteOutcomeCb done);
-
-  // --- Footnote 2: multi-block access ----------------------------------
-  // One operation over several data blocks of one stripe: same round count
-  // as the single-block methods (2δ fast reads, 4δ fast writes) with
-  // per-destination payloads, so a w-block write moves (2w + k)B instead of
-  // w separate operations' w(2n + 1)B.
+  // --- Algorithm 3 and footnote 2: block access -----------------------
+  // One operation over some data blocks of one stripe: 2δ fast reads, 4δ
+  // fast writes, whatever the number of blocks.
   /// Reads the listed data blocks; yields them in `js` order, or ⊥.
-  void read_blocks(StripeId stripe, std::vector<BlockIndex> js, StripeCb done);
   void read_blocks(StripeId stripe, std::vector<BlockIndex> js,
                    StripeOutcomeCb done);
+  /// read_blocks({j}), yielding the one block.
+  void read_block(StripeId stripe, BlockIndex j, BlockOutcomeCb done);
   /// Atomically writes blocks[i] to data index js[i]. Indices must be
   /// distinct; all blocks take effect under one timestamp (one version).
-  void write_blocks(StripeId stripe, std::vector<BlockIndex> js,
-                    std::vector<Block> blocks, WriteCb done);
+  /// The Modify round carries per-destination payloads — each written data
+  /// process its new block, each parity process one combined coded delta,
+  /// the rest none — so a w-block write moves (2w + k)B: (k + 2)B for one
+  /// block, §5.2's bandwidth-optimized block write.
   void write_blocks(StripeId stripe, std::vector<BlockIndex> js,
                     std::vector<Block> blocks, WriteOutcomeCb done);
+  /// Algorithm 3's block write as published: the Modify round ships (old,
+  /// new) to every process, (2n + 1)B in all (Table 1).
+  void write_block(StripeId stripe, BlockIndex j, Block block,
+                   WriteOutcomeCb done);
 
   // --- maintenance ------------------------------------------------------
   /// Repairs one stripe: runs the recovery path unconditionally, which
@@ -205,7 +194,6 @@ class Coordinator {
   /// full quorum — re-creating the blocks of any freshly replaced brick in
   /// the stripe's group. Used by the rebuild service after brick
   /// replacement; semantically it is a read whose fast path is skipped.
-  void repair_stripe(StripeId stripe, WriteCb done);
   void repair_stripe(StripeId stripe, WriteOutcomeCb done);
 
   /// Repairs ONE lost block via the code family's repair plan instead of a
@@ -218,7 +206,6 @@ class Coordinator {
   /// brick missed. Any wrinkle (no plan, partial write visible, version
   /// skew, missing source block, write rejected) falls back to
   /// repair_stripe, which is always sufficient.
-  void rebuild_block(StripeId stripe, BlockIndex lost, WriteCb done);
   void rebuild_block(StripeId stripe, BlockIndex lost, WriteOutcomeCb done);
 
   /// Scrub verdict: does the stripe's stored parity match its data?
@@ -358,27 +345,33 @@ class Coordinator {
   void cache_invalidate(StripeId stripe);
   void cache_clear();
 
-  // Unoptimized quorum read paths (the pre-cache public entry points).
+  using BlockList = std::shared_ptr<const std::vector<BlockIndex>>;
+
+  // Unoptimized quorum read paths (the pre-cache entry points).
   void read_stripe_quorum(StripeId stripe, StripeOutcomeCb done);
-  void read_block_quorum(StripeId stripe, BlockIndex j, BlockOutcomeCb done);
-  /// Degraded block read (DESIGN.md §14): the fast round proved one common
-  /// complete version val_ts but p_j could not serve its block. One more
-  /// validated round to the repair plan's sources reconstructs block j at
-  /// val_ts without the recovery write-back; any wrinkle falls to recover.
-  void degraded_read_block(StripeId stripe, BlockIndex j, Timestamp val_ts,
-                           std::vector<BlockIndex> alive, BlockOutcomeCb done);
-  /// recover() + project block j, counting aborts (the shared slow tail of
-  /// read_block_quorum and degraded_read_block).
-  void recover_read_block(StripeId stripe, BlockIndex j, BlockOutcomeCb done);
+  /// Checks js, then serves it from the cache or the quorum read.
+  void read_data_blocks(StripeId stripe, std::vector<BlockIndex> js,
+                        StripeOutcomeCb done);
+  void read_blocks_quorum(StripeId stripe, BlockList js, StripeOutcomeCb done);
+  /// Degraded read (DESIGN.md §14): the quorum round proved one common
+  /// complete version val_ts, and every requested block arrived but the one
+  /// at out[missing]. One more validated round to the repair plan's sources
+  /// reconstructs it at val_ts without the recovery write-back; any wrinkle
+  /// falls to recover.
+  void degraded_read_blocks(StripeId stripe, BlockList js,
+                            std::vector<Block> out, std::size_t missing,
+                            Timestamp val_ts, std::vector<BlockIndex> alive,
+                            StripeOutcomeCb done);
+  /// recover() + project js, counting aborts (the shared slow tail of the
+  /// quorum and degraded reads).
+  void recover_read_blocks(StripeId stripe, BlockList js,
+                           StripeOutcomeCb done);
   /// rebuild_block's write leg: one WriteReq carrying the reconstructed
   /// block to the lost position alone (the sub-quorum contact mechanism);
   /// a rejection or silence falls back to repair_stripe.
   void write_rebuilt_block(StripeId stripe, BlockIndex lost, Timestamp ts,
                            std::shared_ptr<const Block> block,
                            std::size_t fetched, WriteOutcomeCb done);
-  void read_blocks_quorum(StripeId stripe,
-                          std::shared_ptr<std::vector<BlockIndex>> js,
-                          StripeOutcomeCb done);
 
   // Algorithm 1 internals.
   void fast_read_stripe(StripeId stripe, StripeOutcomeCb done);
@@ -393,22 +386,28 @@ class Coordinator {
                     std::shared_ptr<const std::vector<Block>> data,
                     Timestamp ts, WriteOutcomeCb done);
 
-  // Algorithm 3 internals. The block payload is materialized exactly once
-  // (in write_block) and shared by the fast and slow paths.
-  void fast_write_block(StripeId stripe, BlockIndex j,
-                        std::shared_ptr<const Block> block, Timestamp ts,
-                        WriteOutcomeCb done);
-  void slow_write_block(StripeId stripe, BlockIndex j,
-                        std::shared_ptr<const Block> block, Timestamp ts,
-                        WriteOutcomeCb done);
-  void fast_write_blocks(StripeId stripe,
-                         std::shared_ptr<std::vector<BlockIndex>> js,
-                         std::shared_ptr<std::vector<Block>> blocks,
-                         Timestamp ts, WriteOutcomeCb done);
-  void slow_write_blocks(StripeId stripe,
-                         std::shared_ptr<std::vector<BlockIndex>> js,
-                         std::shared_ptr<std::vector<Block>> blocks,
-                         Timestamp ts, WriteOutcomeCb done);
+  // Block writes (Algorithm 3, footnote 2). The payload is materialized
+  // exactly once and shared by the fast and slow paths.
+  struct BlockWrite {
+    StripeId stripe = 0;
+    std::vector<BlockIndex> js;
+    std::vector<Block> blocks;
+    Timestamp ts;
+    /// Fast-round shape: OrderRead(j) + Modify(old, new) to every process
+    /// (write_block), or per-destination MultiOrderRead + MultiModify.
+    bool paper_modify = false;
+  };
+  using BlockWritePtr = std::shared_ptr<const BlockWrite>;
+  /// The one write sequence: fast round, then the slow path, then the
+  /// write-repair livelock breaker.
+  void run_block_write(std::shared_ptr<BlockWrite> write, WriteOutcomeCb done);
+  void fast_write_blocks(BlockWritePtr w, WriteOutcomeCb done);
+  /// The Modify round's per-position request, given the fast round's old
+  /// blocks (in js order) and their common version ts_j.
+  std::function<Message(std::uint32_t, OpId)> modify_request(
+      BlockWritePtr w, const std::vector<const Block*>& old_blocks,
+      Timestamp ts_j) const;
+  void slow_write_blocks(BlockWritePtr w, WriteOutcomeCb done);
 
   void maybe_send_gc(StripeId stripe, Timestamp complete_ts);
 

@@ -12,8 +12,17 @@
 //                 (Table 1's convention).
 //   Modify      — block-write fast path: carries the old and new values of
 //                 data block j so parity processes can apply modify_{j,i}.
-//                 This is the unoptimized (2n+1)B form; §5.2's delta
-//                 optimization is exercised separately by the codec tests.
+//                 This is the unoptimized (2n+1)B form of write_block;
+//                 MultiOrderRead + MultiModify carry write_blocks, whose
+//                 one-index form is §5.2's (k+2)B delta write.
+//   ModifyDelta — replay-only: no coordinator sends it any more (§5.2 is
+//                 write_blocks({j})), but replicas still decode and handle
+//                 it so old journals replay. Journal records begin with the
+//                 variant index as their tag and decode_journal stops at
+//                 the first record it cannot decode, so removing the kind
+//                 would renumber MultiModify and Gc and silently truncate
+//                 every journal at its first such record; that waits for a
+//                 journal revision header.
 //   Gc          — asynchronous log trimming after a complete write (§5.1);
 //                 has no reply.
 //
@@ -143,9 +152,10 @@ struct MultiModifyReq {
 };
 
 /// §5.2-optimized form of Modify with per-destination payloads: p_j receives
-/// the new block, each parity process receives one coded delta block
+/// the new block, each parity process receives one raw delta block
 /// (G[i][j] is applied receiver-side), and uninvolved data processes receive
-/// no payload at all — (k+2)B on the wire instead of Modify's (2n+1)B.
+/// no payload at all. Replay-only (see the header comment): coordinators
+/// send write_blocks({j}) instead.
 struct ModifyDeltaReq {
   StripeId stripe = 0;
   OpId op = 0;

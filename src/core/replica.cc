@@ -149,20 +149,21 @@ Message RegisterReplica::on_multi_modify(const MultiModifyReq& req) {
   rep.op = req.op;
   const auto pos = position(req.stripe);
   if (!pos.has_value()) return rep;
+  bool distinct_data = !req.js.empty();
+  for (std::size_t i = 0; i < req.js.size(); ++i)
+    distinct_data = distinct_data && req.js[i] < config_.m &&
+                    std::count(req.js.begin(), req.js.end(), req.js[i]) == 1;
+  const bool updated =
+      std::find(req.js.begin(), req.js.end(), *pos) != req.js.end();
+  if (!distinct_data || !payload_fits(*pos, updated, req.block)) return rep;
   auto& replica = store_->replica(req.stripe);
   rep.status = req.ts_j == replica.max_ts() && req.ts >= replica.ord_ts();
   if (!rep.status) return rep;
 
   std::optional<Block> to_store;
-  const bool updated =
-      std::find(req.js.begin(), req.js.end(), *pos) != req.js.end();
   if (updated) {
-    FABEC_CHECK_MSG(req.block.has_value(),
-                    "MultiModify to an updated process must carry its block");
     to_store = req.block;
   } else if (*pos >= config_.m) {
-    FABEC_CHECK_MSG(req.block.has_value(),
-                    "MultiModify to a parity process must carry the delta");
     // XORing a delta into a rotted parity block would launder the
     // corruption into a fresh (correctly-checksummed) entry — abort the op
     // instead; scrub + repair heals this replica and the retry succeeds.
@@ -188,10 +189,12 @@ Message RegisterReplica::on_multi_modify(const MultiModifyReq& req) {
 Message RegisterReplica::on_write(const WriteReq& req) {
   WriteRep rep;
   rep.op = req.op;
-  if (!position(req.stripe).has_value()) return rep;
+  if (!position(req.stripe).has_value() ||
+      req.block.size() != store_->block_size())
+    return rep;
   auto& replica = store_->replica(req.stripe);
-  const bool heal = replica.newest_is_corrupt_at(req.ts) &&
-                    req.ts >= replica.ord_ts() && req.block.size() > 0;
+  const bool heal =
+      replica.newest_is_corrupt_at(req.ts) && req.ts >= replica.ord_ts();
   rep.status =
       (req.ts > replica.max_ts() && req.ts >= replica.ord_ts()) || heal;
   if (heal)
@@ -206,7 +209,10 @@ Message RegisterReplica::on_modify(const ModifyReq& req) {
   ModifyRep rep;
   rep.op = req.op;
   const auto pos = position(req.stripe);
-  if (!pos.has_value()) return rep;
+  if (!pos.has_value() || req.j >= config_.m ||
+      req.old_block.size() != store_->block_size() ||
+      req.new_block.size() != store_->block_size())
+    return rep;
   auto& replica = store_->replica(req.stripe);
   // ts_j must still be this replica's newest timestamp: a mismatch means a
   // competing operation slipped in after the Order&Read phase.
@@ -244,19 +250,17 @@ Message RegisterReplica::on_modify_delta(const ModifyDeltaReq& req) {
   ModifyRep rep;
   rep.op = req.op;
   const auto pos = position(req.stripe);
-  if (!pos.has_value()) return rep;
+  if (!pos.has_value() || req.j >= config_.m ||
+      !payload_fits(*pos, *pos == req.j, req.block))
+    return rep;
   auto& replica = store_->replica(req.stripe);
   rep.status = req.ts_j == replica.max_ts() && req.ts >= replica.ord_ts();
   if (!rep.status) return rep;
 
   std::optional<Block> to_store;
   if (*pos == req.j) {
-    FABEC_CHECK_MSG(req.block.has_value(),
-                    "ModifyDelta to p_j must carry the new block");
     to_store = req.block;
   } else if (*pos >= config_.m) {
-    FABEC_CHECK_MSG(req.block.has_value(),
-                    "ModifyDelta to a parity process must carry the delta");
     auto parity = replica.max_block_checked(store_->io());
     if (!parity.has_value()) {
       rep.status = false;  // see on_modify: never update through rot
@@ -267,6 +271,12 @@ Message RegisterReplica::on_modify_delta(const ModifyDeltaReq& req) {
   }
   replica.append(req.ts, std::move(to_store), store_->io());
   return rep;
+}
+
+bool RegisterReplica::payload_fits(std::uint32_t pos, bool written,
+                                   const std::optional<Block>& block) const {
+  if (block.has_value()) return block->size() == store_->block_size();
+  return !written && pos < config_.m;
 }
 
 // §5.1: trim log entries made obsolete by a complete write.

@@ -56,6 +56,18 @@ class RegisterReplica {
     return layout_->position(stripe, brick_);
   }
 
+  // Shape check of the mutating requests (WriteReq, ModifyReq,
+  // ModifyDeltaReq, MultiModifyReq): every block exactly the store's block
+  // size, every data index below m (a multi-block write's distinct and
+  // non-empty), and every payload the handler needs present. A CRC-valid
+  // datagram can still be malformed; it gets status=false before touching
+  // the store, so replaying it from the journal after a restart is harmless
+  // too.
+  /// A Modify-family payload: required at the written data position and at
+  /// every parity position, optional elsewhere; one block long if present.
+  bool payload_fits(std::uint32_t pos, bool written,
+                    const std::optional<Block>& block) const;
+
   Message on_read(const ReadReq& req);
   Message on_order(const OrderReq& req);
   Message on_order_read(const OrderReadReq& req);

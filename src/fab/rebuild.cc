@@ -11,7 +11,9 @@ bool repair_once(core::Cluster& cluster, ProcessId coordinator,
                  StripeId stripe) {
   std::optional<bool> result;
   cluster.coordinator(coordinator)
-      .repair_stripe(stripe, [&result](bool ok) { result = ok; });
+      .repair_stripe(stripe, [&result](core::Coordinator::WriteOutcome r) {
+        result = r.ok();
+      });
   cluster.simulator().run_until_pred([&result] { return result.has_value(); });
   return result.value_or(false);
 }
@@ -20,7 +22,10 @@ bool rebuild_once(core::Cluster& cluster, ProcessId coordinator,
                   StripeId stripe, BlockIndex lost) {
   std::optional<bool> result;
   cluster.coordinator(coordinator)
-      .rebuild_block(stripe, lost, [&result](bool ok) { result = ok; });
+      .rebuild_block(stripe, lost,
+                     [&result](core::Coordinator::WriteOutcome r) {
+                       result = r.ok();
+                     });
   cluster.simulator().run_until_pred([&result] { return result.has_value(); });
   return result.value_or(false);
 }

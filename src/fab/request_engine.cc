@@ -230,25 +230,12 @@ void RequestEngine::dispatch_group(StripeId stripe, bool is_write,
           }));
     }
   } else {
-    if (js.size() == 1) {
-      coordinator.read_block(
-          stripe, js.front(),
-          Coordinator::BlockOutcomeCb([this, gid](
-              Coordinator::BlockOutcome outcome) {
-            finish_read_group(
-                gid, outcome.ok()
-                         ? Coordinator::StripeOutcome(
-                               std::vector<Block>{std::move(*outcome)})
-                         : Coordinator::StripeOutcome(outcome.error()));
-          }));
-    } else {
-      coordinator.read_blocks(
-          stripe, std::move(js),
-          Coordinator::StripeOutcomeCb([this, gid](
-              Coordinator::StripeOutcome outcome) {
-            finish_read_group(gid, std::move(outcome));
-          }));
-    }
+    coordinator.read_blocks(
+        stripe, std::move(js),
+        Coordinator::StripeOutcomeCb(
+            [this, gid](Coordinator::StripeOutcome outcome) {
+              finish_read_group(gid, std::move(outcome));
+            }));
   }
 }
 

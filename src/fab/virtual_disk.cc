@@ -48,114 +48,66 @@ sim::Duration VirtualDisk::grown(sim::Duration backoff) const {
 }
 
 void VirtualDisk::read(Lba lba, BlockOutcomeCb done, ProcessId coord) {
-  attempt_read(lba, 1, retry_.initial_backoff, std::move(done), coord);
-}
-
-void VirtualDisk::attempt_read(Lba lba, std::uint32_t attempt,
-                               sim::Duration backoff, BlockOutcomeCb done,
-                               ProcessId requested) {
-  const ProcessId coord = pick_coordinator(requested);
-  if (coord == kNoProcess) {
-    ++stats_.misrouted;
-    done(core::OpError::kMisrouted);
-    return;
-  }
-  cluster_->coordinator(coord).read_block(
-      global_stripe(layout_.stripe_of(lba)), layout_.index_of(lba),
-      [this, lba, attempt, backoff, done = std::move(done),
-       requested](BlockOutcome r) mutable {
-        if (r.ok()) {
-          ++stats_.ok;
-          done(std::move(r));
-          return;
-        }
-        if (r.error() == core::OpError::kTimeout) {
-          ++stats_.timed_out;
-          done(std::move(r));
-          return;
-        }
-        if (attempt >= retry_.max_attempts) {
-          ++stats_.aborted;
-          done(std::move(r));
-          return;
-        }
-        ++stats_.aborted_retried;
-        ++stats_.retries;
-        cluster_->simulator().schedule_after(
-            jittered(backoff),
-            [this, lba, attempt, backoff, done = std::move(done),
-             requested]() mutable {
-              attempt_read(lba, attempt + 1, grown(backoff), std::move(done),
-                           requested);
-            });
-      });
+  const StripeId stripe = global_stripe(layout_.stripe_of(lba));
+  const BlockIndex j = layout_.index_of(lba);
+  attempt<BlockOutcome>(
+      [stripe, j](core::Coordinator& c, BlockOutcomeCb cb) {
+        c.read_block(stripe, j, std::move(cb));
+      },
+      1, retry_.initial_backoff, std::move(done), coord);
 }
 
 void VirtualDisk::write(Lba lba, Block data, WriteOutcomeCb done,
                         ProcessId coord) {
   FABEC_CHECK(data.size() == block_size());
-  attempt_write(lba, std::make_shared<const Block>(std::move(data)), 1,
-                retry_.initial_backoff, std::move(done), coord);
+  const StripeId stripe = global_stripe(layout_.stripe_of(lba));
+  const BlockIndex j = layout_.index_of(lba);
+  auto block = std::make_shared<const Block>(std::move(data));
+  attempt<WriteOutcome>(
+      [stripe, j, block](core::Coordinator& c, WriteOutcomeCb cb) {
+        c.write_block(stripe, j, Block(*block), std::move(cb));
+      },
+      1, retry_.initial_backoff, std::move(done), coord);
 }
 
-void VirtualDisk::attempt_write(Lba lba, std::shared_ptr<const Block> data,
-                                std::uint32_t attempt, sim::Duration backoff,
-                                WriteOutcomeCb done, ProcessId requested) {
+template <typename T>
+void VirtualDisk::attempt(Starter<T> start, std::uint32_t attempt,
+                          sim::Duration backoff, std::function<void(T)> done,
+                          ProcessId requested) {
   const ProcessId coord = pick_coordinator(requested);
   if (coord == kNoProcess) {
     ++stats_.misrouted;
     done(core::OpError::kMisrouted);
     return;
   }
-  cluster_->coordinator(coord).write_block(
-      global_stripe(layout_.stripe_of(lba)), layout_.index_of(lba),
-      Block(*data),
-      [this, lba, data, attempt, backoff, done = std::move(done),
-       requested](WriteOutcome r) mutable {
-        if (r.ok()) {
-          ++stats_.ok;
-          done(std::move(r));
-          return;
-        }
-        if (r.error() == core::OpError::kTimeout) {
-          ++stats_.timed_out;
-          done(std::move(r));
-          return;
-        }
-        if (attempt >= retry_.max_attempts) {
-          ++stats_.aborted;
-          done(std::move(r));
-          return;
-        }
-        ++stats_.aborted_retried;
-        ++stats_.retries;
-        cluster_->simulator().schedule_after(
-            jittered(backoff),
-            [this, lba, data = std::move(data), attempt, backoff,
-             done = std::move(done), requested]() mutable {
-              attempt_write(lba, std::move(data), attempt + 1, grown(backoff),
-                            std::move(done), requested);
-            });
-      });
-}
-
-void VirtualDisk::read(Lba lba,
-                       std::function<void(std::optional<Block>)> done,
-                       ProcessId coord) {
-  read(lba,
-       BlockOutcomeCb([done = std::move(done)](BlockOutcome r) {
-         done(r.ok() ? std::optional<Block>(std::move(*r)) : std::nullopt);
-       }),
-       coord);
-}
-
-void VirtualDisk::write(Lba lba, Block data, std::function<void(bool)> done,
-                        ProcessId coord) {
-  write(lba, std::move(data),
-        WriteOutcomeCb([done = std::move(done)](WriteOutcome r) {
-          done(r.ok());
-        }),
-        coord);
+  start(cluster_->coordinator(coord),
+        [this, start, attempt, backoff, done = std::move(done),
+         requested](T r) mutable {
+          if (r.ok()) {
+            ++stats_.ok;
+            done(std::move(r));
+            return;
+          }
+          if (r.error() == core::OpError::kTimeout) {
+            ++stats_.timed_out;
+            done(std::move(r));
+            return;
+          }
+          if (attempt >= retry_.max_attempts) {
+            ++stats_.aborted;
+            done(std::move(r));
+            return;
+          }
+          ++stats_.aborted_retried;
+          ++stats_.retries;
+          cluster_->simulator().schedule_after(
+              jittered(backoff),
+              [this, start = std::move(start), attempt, backoff,
+               done = std::move(done), requested]() mutable {
+                this->attempt<T>(std::move(start), attempt + 1,
+                                 grown(backoff), std::move(done), requested);
+              });
+        });
 }
 
 std::optional<Block> VirtualDisk::read_sync(Lba lba, ProcessId coord) {

@@ -8,10 +8,8 @@
 // balancing and what exercises the fully decentralized coordination.
 //
 // The disk is also where the paper's "clients retry the operation" (§5.1)
-// lives: an aborted (⊥) block operation is retried with capped randomized
-// backoff under a RetryPolicy budget. Timeouts (OpError::kTimeout) are
-// never retried here — the deadline already says the quorum is unreachable,
-// and bounded completion is the point of the deadline (DESIGN.md §9).
+// lives: an aborted (⊥) block operation is retried under the RetryPolicy of
+// fab/retry.h.
 #pragma once
 
 #include <cstdint>
@@ -26,33 +24,9 @@
 #include "core/cluster.h"
 #include "core/outcome.h"
 #include "fab/layout.h"
+#include "fab/retry.h"
 
 namespace fabec::fab {
-
-/// Client-side retry discipline for aborted operations (§5.1's "the client
-/// retries"). Applies per logical operation; attempt k waits roughly
-/// initial_backoff * backoff_factor^(k-1), capped and jittered.
-struct RetryPolicy {
-  /// Total attempts per operation (1 = no retry, the seed behavior).
-  std::uint32_t max_attempts = 1;
-  sim::Duration initial_backoff = sim::kDefaultDelta;
-  double backoff_factor = 2.0;
-  sim::Duration max_backoff = 32 * sim::kDefaultDelta;
-  /// Each wait is drawn uniformly from backoff * [1 - jitter, 1 + jitter]
-  /// using the disk's forked RNG — randomized (two contending clients
-  /// desynchronize) yet reproducible under a fixed seed.
-  double jitter = 0.5;
-};
-
-/// Final outcomes and retry traffic of one disk's operations.
-struct ClientStats {
-  std::uint64_t ok = 0;              ///< completed (possibly after retries)
-  std::uint64_t aborted = 0;         ///< final ⊥ after the retry budget
-  std::uint64_t aborted_retried = 0; ///< aborts absorbed by a retry
-  std::uint64_t timed_out = 0;       ///< OpError::kTimeout (never retried)
-  std::uint64_t misrouted = 0;       ///< no live coordinator to route to
-  std::uint64_t retries = 0;         ///< retry attempts issued
-};
 
 struct VirtualDiskConfig {
   std::uint64_t num_blocks = 0;  ///< logical capacity in blocks
@@ -88,12 +62,6 @@ class VirtualDisk {
   void write(Lba lba, Block data, WriteOutcomeCb done,
              ProcessId coord = kNoProcess);
 
-  /// Legacy shapes: nullopt / false = the final attempt returned ⊥.
-  void read(Lba lba, std::function<void(std::optional<Block>)> done,
-            ProcessId coord = kNoProcess);
-  void write(Lba lba, Block data, std::function<void(bool)> done,
-             ProcessId coord = kNoProcess);
-
   // --- synchronous I/O (runs the simulator until completion) ------------
   std::optional<Block> read_sync(Lba lba, ProcessId coord = kNoProcess);
   bool write_sync(Lba lba, Block data, ProcessId coord = kNoProcess);
@@ -115,11 +83,15 @@ class VirtualDisk {
   /// kNoProcess when no live brick is available (the op is misrouted).
   ProcessId pick_coordinator(ProcessId requested);
 
-  void attempt_read(Lba lba, std::uint32_t attempt, sim::Duration backoff,
-                    BlockOutcomeCb done, ProcessId requested);
-  void attempt_write(Lba lba, std::shared_ptr<const Block> data,
-                     std::uint32_t attempt, sim::Duration backoff,
-                     WriteOutcomeCb done, ProcessId requested);
+  /// Starts one attempt of a block operation at a coordinator.
+  template <typename T>
+  using Starter =
+      std::function<void(core::Coordinator&, std::function<void(T)>)>;
+  /// Runs attempt number `attempt` of a read or write, and schedules the
+  /// next one after a jittered backoff if it aborts within the budget.
+  template <typename T>
+  void attempt(Starter<T> start, std::uint32_t attempt, sim::Duration backoff,
+               std::function<void(T)> done, ProcessId requested);
   /// Jittered wait for the current attempt, and the grown cap-bounded
   /// backoff for the next one.
   sim::Duration jittered(sim::Duration backoff);

@@ -132,18 +132,11 @@ sim::Duration VolumeClient::jittered(sim::Duration backoff) {
   return static_cast<sim::Duration>(static_cast<double>(backoff) * factor);
 }
 
-VolumeClient::BlockOutcome VolumeClient::read(Lba lba) {
-  const StripeId stripe = config_.stripe_base + layout_.stripe_of(lba);
-  const BlockIndex j = layout_.index_of(lba);
+template <typename T, typename Start>
+T VolumeClient::with_retries(const Start& start) {
   sim::Duration backoff = config_.retry.initial_backoff;
   for (std::uint32_t attempt = 1;; ++attempt) {
-    BlockOutcome outcome = blocking_op<BlockOutcome>(
-        BlockOutcome(core::OpError::kMisrouted),
-        [stripe, j](core::Coordinator& c, auto complete) {
-          c.read_block(
-              stripe, j,
-              core::Coordinator::BlockOutcomeCb(std::move(complete)));
-        });
+    T outcome = blocking_op<T>(T(core::OpError::kMisrouted), start);
     std::unique_lock<std::mutex> lock(mutex_);
     if (outcome.ok()) {
       ++stats_.ok;
@@ -169,63 +162,52 @@ VolumeClient::BlockOutcome VolumeClient::read(Lba lba) {
     }
     return outcome;
   }
+}
+
+VolumeClient::BlockOutcome VolumeClient::read(Lba lba) {
+  const StripeId stripe = config_.stripe_base + layout_.stripe_of(lba);
+  const BlockIndex j = layout_.index_of(lba);
+  return with_retries<BlockOutcome>(
+      [stripe, j](core::Coordinator& c, auto complete) {
+        c.read_block(stripe, j,
+                     core::Coordinator::BlockOutcomeCb(std::move(complete)));
+      });
 }
 
 VolumeClient::WriteOutcome VolumeClient::write(Lba lba, Block data) {
   const StripeId stripe = config_.stripe_base + layout_.stripe_of(lba);
   const BlockIndex j = layout_.index_of(lba);
   auto block = std::make_shared<const Block>(std::move(data));
-  sim::Duration backoff = config_.retry.initial_backoff;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    WriteOutcome outcome = blocking_op<WriteOutcome>(
-        WriteOutcome(core::OpError::kMisrouted),
-        [stripe, j, block](core::Coordinator& c, auto complete) {
-          c.write_block(
-              stripe, j, *block,
-              core::Coordinator::WriteOutcomeCb(std::move(complete)));
-        });
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (outcome.ok()) {
-      ++stats_.ok;
-      return outcome;
-    }
-    if (outcome.error() == core::OpError::kAborted &&
-        attempt < config_.retry.max_attempts && !closed_) {
-      ++stats_.retries;
-      ++stats_.aborted_retried;
-      lock.unlock();
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(jittered(backoff)));
-      backoff = std::min<sim::Duration>(
-          static_cast<sim::Duration>(static_cast<double>(backoff) *
-                                     config_.retry.backoff_factor),
-          config_.retry.max_backoff);
-      continue;
-    }
-    switch (outcome.error()) {
-      case core::OpError::kAborted: ++stats_.aborted; break;
-      case core::OpError::kTimeout: ++stats_.timed_out; break;
-      case core::OpError::kMisrouted: ++stats_.misrouted; break;
-    }
-    return outcome;
-  }
+  return with_retries<WriteOutcome>(
+      [stripe, j, block](core::Coordinator& c, auto complete) {
+        c.write_block(stripe, j, *block,
+                      core::Coordinator::WriteOutcomeCb(std::move(complete)));
+      });
 }
 
 std::optional<std::vector<Block>> VolumeClient::read_stripe(StripeId stripe) {
   const StripeId global = config_.stripe_base + stripe;
-  return blocking_op<core::Coordinator::StripeResult>(
-      std::nullopt, [global](core::Coordinator& c, auto complete) {
-        c.read_stripe(global, std::move(complete));
+  auto outcome = blocking_op<core::Coordinator::StripeOutcome>(
+      core::OpError::kMisrouted,
+      [global](core::Coordinator& c, auto complete) {
+        c.read_stripe(global,
+                      core::Coordinator::StripeOutcomeCb(std::move(complete)));
       });
+  if (!outcome.ok()) return std::nullopt;
+  return std::move(*outcome);
 }
 
 bool VolumeClient::write_stripe(StripeId stripe, std::vector<Block> data) {
   const StripeId global = config_.stripe_base + stripe;
-  return blocking_op<bool>(
-      false, [global, d = std::move(data)](core::Coordinator& c,
+  return blocking_op<WriteOutcome>(
+             core::OpError::kMisrouted,
+             [global, d = std::move(data)](core::Coordinator& c,
                                            auto complete) mutable {
-        c.write_stripe(global, std::move(d), std::move(complete));
-      });
+               c.write_stripe(
+                   global, std::move(d),
+                   core::Coordinator::WriteOutcomeCb(std::move(complete)));
+             })
+      .ok();
 }
 
 core::Coordinator::ScrubResult VolumeClient::scrub_stripe(StripeId stripe) {
@@ -239,10 +221,14 @@ core::Coordinator::ScrubResult VolumeClient::scrub_stripe(StripeId stripe) {
 
 bool VolumeClient::repair_stripe(StripeId stripe) {
   const StripeId global = config_.stripe_base + stripe;
-  return blocking_op<bool>(
-      false, [global](core::Coordinator& c, auto complete) {
-        c.repair_stripe(global, std::move(complete));
-      });
+  return blocking_op<WriteOutcome>(
+             core::OpError::kMisrouted,
+             [global](core::Coordinator& c, auto complete) {
+               c.repair_stripe(
+                   global,
+                   core::Coordinator::WriteOutcomeCb(std::move(complete)));
+             })
+      .ok();
 }
 
 core::CoordinatorStats VolumeClient::coordinator_stats() {

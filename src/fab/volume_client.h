@@ -40,7 +40,7 @@
 #include "core/group_layout.h"
 #include "erasure/code_family.h"
 #include "fab/layout.h"
-#include "fab/virtual_disk.h"
+#include "fab/retry.h"
 #include "runtime/brick_config.h"
 #include "runtime/datagram_mux.h"
 #include "runtime/epoll_loop.h"
@@ -135,6 +135,10 @@ class VolumeClient {
  private:
   template <typename T, typename Start>
   T blocking_op(T closed_value, Start&& start);
+  /// blocking_op under config_.retry: retries aborts only, sleeping a
+  /// jittered, growing backoff in the calling thread between attempts.
+  template <typename T, typename Start>
+  T with_retries(const Start& start);
   sim::Duration jittered(sim::Duration backoff);
 
   VolumeClientConfig config_;

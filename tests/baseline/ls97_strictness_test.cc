@@ -39,7 +39,7 @@ std::pair<Block, Block> run_figure5_ls97() {
   });
   sim.schedule_at(sim.now() + 3 * sim::kDefaultDelta + 1,
                   [&] { cluster.crash(0); });
-  cluster.write(0, 0, v_prime, [](bool) {});
+  cluster.write(0, 0, v_prime, [](auto) {});
   sim.run_until_idle();
   cluster.network().heal();
 
@@ -104,7 +104,7 @@ TEST(Ls97StrictnessTest, ErasureRegisterResistsTheSameSchedule) {
   });
   sim.schedule_at(sim.now() + 3 * sim::kDefaultDelta + 1,
                   [&] { cluster.crash(0); });
-  cluster.coordinator(0).write_stripe(0, {v_prime}, [](bool) {});
+  cluster.coordinator(0).write_stripe(0, {v_prime}, [](auto) {});
   sim.run_until_idle();
   cluster.network().heal();
 

@@ -78,8 +78,12 @@ TEST_P(TortureSeedTest, BrickPoolRotatedGroups) {
 }
 
 TEST_P(TortureSeedTest, DeltaWritePath) {
+  // Every campaign issues some one-block write_blocks — §5.2's delta write —
+  // among its multi-block writes; this mix makes them a large share of all
+  // operations, racing the default fault menu.
   CampaignConfig cfg;
-  cfg.delta_block_writes = true;
+  cfg.write_fraction = 0.8;
+  cfg.wide_op_fraction = 0.8;
   expect_clean(cfg, 700 + static_cast<std::uint64_t>(GetParam()));
 }
 

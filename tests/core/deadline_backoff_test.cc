@@ -135,7 +135,7 @@ TEST(DeadlineTest, ZeroDeadlineWaitsForever) {
 
   std::optional<bool> result;
   cluster.coordinator(0).write_stripe(0, random_stripe(5, rng),
-                                      [&](bool ok) { result = ok; });
+                                      [&](auto r) { result = r.ok(); });
   cluster.simulator().run_for(sim::milliseconds(50));
   EXPECT_FALSE(result.has_value());
   EXPECT_EQ(cluster.total_coordinator_stats().op_timeouts, 0u);
@@ -224,7 +224,7 @@ TEST(SuspicionTest, SilentBrickIsSkippedThenReprobedAndForgiven) {
 
   std::optional<bool> result;
   cluster.coordinator(0).write_stripe(0, random_stripe(3, rng),
-                                      [&](bool ok) { result = ok; });
+                                      [&](auto r) { result = r.ok(); });
   // Rounds at 1..8 ms: sends at rounds 1-2, probe at 3, suppressed 4-6,
   // probe at 7, suppressed 8 — then the link heals.
   cluster.simulator().run_for(sim::milliseconds(8) + sim::microseconds(500));
@@ -242,7 +242,7 @@ TEST(SuspicionTest, SilentBrickIsSkippedThenReprobedAndForgiven) {
   const auto before = cluster.total_coordinator_stats();
   std::optional<bool> second;
   cluster.coordinator(0).write_stripe(0, random_stripe(3, rng),
-                                      [&](bool ok) { second = ok; });
+                                      [&](auto r) { second = r.ok(); });
   cluster.simulator().run_until_pred([&] { return second.has_value(); });
   EXPECT_EQ(second, true);
   const auto after = cluster.total_coordinator_stats();
@@ -262,7 +262,7 @@ TEST(ReplyFilterTest, KindMismatchedRepliesAreDroppedNotCrashed) {
   Rng rng(41);
   h.coord->write_stripe(0, random_stripe(3, rng),
                         Coordinator::WriteOutcomeCb(
-                            [](Coordinator::WriteOutcome) {}));
+                            [](auto) {}));
   h.sim.run_until_pred([&] { return h.sent.size() >= 4; });
   const auto* order = std::get_if<OrderReq>(&h.sent[0].second);
   ASSERT_NE(order, nullptr) << "write_stripe must open with an Order phase";

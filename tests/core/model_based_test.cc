@@ -35,7 +35,6 @@ struct ModelConfig {
   int num_stripes = 3;
   bool churn = false;            ///< crash/recover bricks between ops
   double drop_probability = 0;   ///< with retransmission masking it
-  bool delta_writes = false;
   sim::Duration disk_time = 0;
 };
 
@@ -50,7 +49,6 @@ class ModelRunner {
     config.net.drop_probability = cfg.drop_probability;
     config.disk_service_time = cfg.disk_time;
     config.coordinator.retransmit_period = sim::milliseconds(1);
-    config.coordinator.delta_block_writes = cfg.delta_writes;
     cluster_ = std::make_unique<Cluster>(config, cfg.seed);
     for (int s = 0; s < cfg.num_stripes; ++s)
       model_[s] = {std::vector<Block>(cfg.m, zero_block(kB))};
@@ -143,10 +141,12 @@ class ModelRunner {
         expected = {*seen};  // the read fixed the outcome, permanently
         break;
       }
-      case 2: {  // write-block
+      case 2: {  // write-block, alternating with its §5.2 delta form
         const auto j = static_cast<BlockIndex>(rng_.next_below(cfg_.m));
         const Block b = random_block(rng_, kB);
-        const bool ok = cluster_->write_block(coord, stripe, j, b);
+        const bool ok = ++block_writes_ % 2 == 0
+                            ? cluster_->write_blocks(coord, stripe, {j}, {b})
+                            : cluster_->write_block(coord, stripe, j, b);
         Candidates next;
         for (auto c : expected) {
           if (!ok) next.insert(c);  // "no effect" outcome stays possible
@@ -209,6 +209,7 @@ class ModelRunner {
 
   ModelConfig cfg_;
   Rng rng_;
+  std::uint64_t block_writes_ = 0;
   std::unique_ptr<Cluster> cluster_;
   using Candidates = std::set<std::vector<Block>>;
   std::map<StripeId, Candidates> model_;
@@ -240,7 +241,6 @@ TEST_P(ModelBasedTest, DeltaWritesOverBrickPool) {
   ModelConfig cfg;
   cfg.seed = 300 + static_cast<std::uint64_t>(GetParam());
   cfg.total_bricks = 12;
-  cfg.delta_writes = true;
   cfg.churn = true;
   ModelRunner(cfg).run();
 }

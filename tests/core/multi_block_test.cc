@@ -97,6 +97,52 @@ TEST(MultiBlockTest, FastWriteCosts) {
   }
 }
 
+/// Everything one block read costs: latency in δ, messages, payload in
+/// blocks, disk I/O.
+struct ReadCost {
+  sim::Duration deltas = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t payload_blocks = 0;
+  std::uint64_t disk_reads = 0;
+  std::uint64_t disk_writes = 0;
+  bool operator==(const ReadCost&) const = default;
+};
+
+/// Reads block 2 of a written stripe through read_block(2) or through
+/// read_blocks({2}), optionally with p_2 crashed.
+ReadCost measure_block_read(bool via_read_blocks, bool crash_target) {
+  Cluster cluster(make_config(), 11);
+  Rng rng(11);
+  const auto stripe = random_stripe(rng);
+  EXPECT_TRUE(cluster.write_stripe(0, 0, stripe));
+  if (crash_target) cluster.crash(2);
+  cluster.network().reset_stats();
+  cluster.reset_io_stats();
+  const sim::Time start = cluster.simulator().now();
+  const std::optional<Block> block =
+      via_read_blocks ? cluster.read_blocks(0, 0, {2}).value().at(0)
+                      : cluster.read_block(0, 0, 2);
+  EXPECT_EQ(block, stripe[2]);
+  return {(cluster.simulator().now() - start) / sim::kDefaultDelta,
+          cluster.network().stats().messages_sent,
+          cluster.network().stats().bytes_sent / kB,
+          cluster.total_io().disk_reads, cluster.total_io().disk_writes};
+}
+
+TEST(MultiBlockTest, ReadBlockIsReadBlocksOfOneIndex) {
+  for (bool crashed : {false, true}) {
+    EXPECT_EQ(measure_block_read(false, crashed),
+              measure_block_read(true, crashed))
+        << "crashed=" << crashed;
+  }
+  // Healthy: one 2δ round, p_j's block on the wire.
+  EXPECT_EQ(measure_block_read(true, false), (ReadCost{2, 2 * kN, 1, 1, 0}));
+  // p_j down: the quorum round proves one complete version, and a validated
+  // round to the m plan sources rebuilds the block — no recovery write-back.
+  EXPECT_EQ(measure_block_read(true, true),
+            (ReadCost{4, (2 * kN - 1) + 2 * kM, kM, kM, 0}));
+}
+
 TEST(MultiBlockTest, FastReadCosts) {
   Cluster cluster(make_config(), 5);
   Rng rng(5);
@@ -122,7 +168,7 @@ TEST(MultiBlockTest, AtomicityUnderCoordinatorCrash) {
   const std::vector<BlockIndex> js{0, 4};
   const std::vector<Block> blocks{random_block(rng, kB),
                                   random_block(rng, kB)};
-  cluster.coordinator(1).write_blocks(0, js, blocks, [](bool) {});
+  cluster.coordinator(1).write_blocks(0, js, blocks, [](auto) {});
   cluster.simulator().run_for(3 * sim::kDefaultDelta - 1);
   cluster.crash(1);
   cluster.simulator().run_until_idle();

@@ -40,7 +40,7 @@ TEST(ProtocolEdgeTest, OpsBlockBeyondFaultBoundAndResumeOnRecovery) {
 
   std::optional<bool> result;
   cluster.coordinator(0).write_stripe(0, random_stripe(5, rng),
-                                      [&](bool ok) { result = ok; });
+                                      [&](auto r) { result = r.ok(); });
   cluster.simulator().run_for(sim::milliseconds(50));
   EXPECT_FALSE(result.has_value()) << "no quorum: the op must still be pending";
   EXPECT_GT(cluster.total_coordinator_stats().retransmit_rounds, 10u);
@@ -58,15 +58,15 @@ TEST(ProtocolEdgeTest, ZeroFaultToleranceNeedsEveryBrick) {
   Rng rng(2);
   ASSERT_TRUE(cluster.write_stripe(0, 0, random_stripe(4, rng)));
   cluster.crash(3);
-  std::optional<Coordinator::StripeResult> result;
+  std::optional<Coordinator::StripeOutcome> result;
   cluster.coordinator(0).read_stripe(
-      0, [&](Coordinator::StripeResult r) { result = std::move(r); });
+      0, [&](Coordinator::StripeOutcome r) { result = std::move(r); });
   cluster.simulator().run_for(sim::milliseconds(20));
   EXPECT_FALSE(result.has_value());
   cluster.recover_brick(3);
   cluster.simulator().run_until_pred([&] { return result.has_value(); });
   ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->has_value());
+  EXPECT_TRUE(result->ok());
 }
 
 TEST(ProtocolEdgeTest, WeakProgressAfterConflictStorm) {
@@ -79,7 +79,7 @@ TEST(ProtocolEdgeTest, WeakProgressAfterConflictStorm) {
     int completed = 0;
     for (ProcessId p = 0; p < 4; ++p)
       cluster.coordinator(p).write_stripe(0, random_stripe(5, rng),
-                                          [&](bool) { ++completed; });
+                                          [&](auto) { ++completed; });
     cluster.simulator().run_until_idle();
     EXPECT_EQ(completed, 4);
   }
@@ -105,7 +105,7 @@ TEST(ProtocolEdgeTest, RecoveryTerminatesOverDeepVersionHistory) {
     ASSERT_TRUE(cluster.write_stripe(0, 0, last));
   }
   // Partial write (Order only), then read.
-  cluster.coordinator(1).write_stripe(0, random_stripe(5, rng), [](bool) {});
+  cluster.coordinator(1).write_stripe(0, random_stripe(5, rng), [](auto) {});
   cluster.simulator().run_for(sim::kDefaultDelta + 1);
   cluster.crash(1);
   cluster.simulator().run_until_idle();
@@ -137,7 +137,7 @@ TEST(ProtocolEdgeTest, RecoveryWalksPastStackedPartialWrites) {
     sim.schedule_at(sim.now() + 3 * sim::kDefaultDelta + 1,
                     [&cluster, victim] { cluster.crash(victim); });
     cluster.coordinator(victim).write_stripe(0, random_stripe(5, rng),
-                                             [](bool) {});
+                                             [](auto) {});
     sim.run_until_idle();
     cluster.network().heal();
     cluster.recover_brick(victim);
@@ -182,7 +182,7 @@ TEST(ProtocolEdgeTest, StaleRepliesAfterCoordinatorRecoveryAreIgnored) {
   config.net.jitter = 10 * sim::kDefaultDelta;
   Cluster cluster(config, 7);
   Rng rng(7);
-  cluster.coordinator(0).write_stripe(0, random_stripe(5, rng), [](bool) {});
+  cluster.coordinator(0).write_stripe(0, random_stripe(5, rng), [](auto) {});
   cluster.simulator().run_for(sim::kDefaultDelta / 2);
   cluster.crash(0);
   cluster.recover_brick(0);
@@ -208,16 +208,17 @@ TEST(ProtocolEdgeTest, GcConcurrentWithRecoveryRead) {
 
   // Writer (with GC) and recovery-prone reader race.
   const auto v2 = random_stripe(5, rng);
-  std::optional<Coordinator::StripeResult> read_result;
+  std::optional<Coordinator::StripeOutcome> read_result;
   bool write_done = false;
-  cluster.coordinator(1).write_stripe(0, v2, [&](bool) { write_done = true; });
+  cluster.coordinator(1).write_stripe(0, v2, [&](auto) { write_done = true; });
   cluster.coordinator(2).read_stripe(
-      0, [&](Coordinator::StripeResult r) { read_result = std::move(r); });
+      0, [&](Coordinator::StripeOutcome r) { read_result = std::move(r); });
   cluster.simulator().run_until_idle();
   EXPECT_TRUE(write_done);
   ASSERT_TRUE(read_result.has_value());
-  if (read_result->has_value())
+  if (read_result->ok()) {
     EXPECT_TRUE(**read_result == v1 || **read_result == v2);
+  }
   EXPECT_EQ(cluster.read_stripe(3, 0), v2);
 }
 

@@ -83,7 +83,7 @@ TEST(RegisterFailureTest, CoordinatorCrashMidWriteIsResolvedByNextRead) {
   const auto new_stripe = random_stripe(5, rng);
   bool write_done = false;
   cluster.coordinator(1).write_stripe(0, new_stripe,
-                                      [&](bool) { write_done = true; });
+                                      [&](auto) { write_done = true; });
   // Crash the coordinator after the Order phase has been sent but before
   // the operation can complete (runs for ~1 one-way delay only).
   cluster.simulator().run_for(sim::kDefaultDelta);
@@ -111,7 +111,7 @@ TEST(RegisterFailureTest, PartialWriteRolledForwardWhenQuorumReached) {
   const auto new_stripe = random_stripe(5, rng);
   bool cb_fired = false;
   cluster.coordinator(1).write_stripe(0, new_stripe,
-                                      [&](bool) { cb_fired = true; });
+                                      [&](auto) { cb_fired = true; });
   // Let the Write messages land at every replica (3 one-way delays: Order
   // out, Order replies back, Write out) but crash the coordinator before
   // the Write replies return at 4δ.
@@ -130,7 +130,7 @@ TEST(RegisterFailureTest, PartialWriteRolledBackWhenBarelyStarted) {
   const auto old_stripe = random_stripe(5, rng);
   ASSERT_TRUE(cluster.write_stripe(0, 0, old_stripe));
   const auto new_stripe = random_stripe(5, rng);
-  cluster.coordinator(1).write_stripe(0, new_stripe, [](bool) {});
+  cluster.coordinator(1).write_stripe(0, new_stripe, [](auto) {});
   // Crash before even the Order messages are delivered.
   cluster.crash(1);
   cluster.simulator().run_until_idle();
@@ -149,7 +149,7 @@ TEST(RegisterFailureTest, Figure5ScenarioDoesNotReviveOldValue) {
 
   // write1(v'): crash brick 0 mid-protocol; run only until the Order round
   // is done and the first Write message is in flight.
-  cluster.coordinator(0).write_stripe(0, {v_prime}, [](bool) {});
+  cluster.coordinator(0).write_stripe(0, {v_prime}, [](auto) {});
   cluster.simulator().run_for(3 * sim::kDefaultDelta);
   cluster.crash(0);
   cluster.simulator().run_until_idle();
@@ -235,13 +235,13 @@ TEST(RegisterFailureTest, ConcurrentWritesToSameStripeMayAbortButStayConsistent)
   const auto a = random_stripe(5, rng);
   const auto b = random_stripe(5, rng);
   int completed = 0, succeeded = 0;
-  cluster.coordinator(0).write_stripe(0, a, [&](bool ok) {
+  cluster.coordinator(0).write_stripe(0, a, [&](auto r) {
     ++completed;
-    succeeded += ok;
+    succeeded += r.ok();
   });
-  cluster.coordinator(1).write_stripe(0, b, [&](bool ok) {
+  cluster.coordinator(1).write_stripe(0, b, [&](auto r) {
     ++completed;
-    succeeded += ok;
+    succeeded += r.ok();
   });
   cluster.simulator().run_until_idle();
   EXPECT_EQ(completed, 2);
@@ -263,18 +263,18 @@ TEST(RegisterFailureTest, ReadDuringWriteInProgressDetectsPartialState) {
   const auto new_stripe = random_stripe(5, rng);
 
   bool write_ok = false;
-  std::optional<Coordinator::StripeResult> read_result;
+  std::optional<Coordinator::StripeOutcome> read_result;
   cluster.coordinator(0).write_stripe(0, new_stripe,
-                                      [&](bool ok) { write_ok = ok; });
+                                      [&](auto r) { write_ok = r.ok(); });
   // Issue the read one delta later so it lands mid-write.
   cluster.simulator().schedule_after(sim::kDefaultDelta, [&] {
     cluster.coordinator(1).read_stripe(
-        0, [&](Coordinator::StripeResult r) { read_result = std::move(r); });
+        0, [&](Coordinator::StripeOutcome r) { read_result = std::move(r); });
   });
   cluster.simulator().run_until_idle();
   EXPECT_TRUE(write_ok);
   ASSERT_TRUE(read_result.has_value());
-  if (read_result->has_value()) {
+  if (read_result->ok()) {
     EXPECT_TRUE(**read_result == old_stripe || **read_result == new_stripe);
   }
   // Afterwards the write's value is in force.
@@ -288,7 +288,7 @@ TEST(RegisterFailureTest, BlockWriteCoordinatorCrashResolved) {
   auto stripe = random_stripe(5, rng);
   ASSERT_TRUE(cluster.write_stripe(0, 0, stripe));
   const Block nb = random_block(rng, kBlockSize);
-  cluster.coordinator(1).write_block(0, 2, nb, [](bool) {});
+  cluster.coordinator(1).write_block(0, 2, nb, [](auto) {});
   cluster.simulator().run_for(sim::kDefaultDelta);
   cluster.crash(1);
   cluster.simulator().run_until_idle();

@@ -121,6 +121,36 @@ TEST(RepairPlanTest, DegradedReadAvoidsRecovery) {
   EXPECT_EQ(stats.recoveries_started, 0u);
 }
 
+TEST(RepairPlanTest, DegradedMultiBlockReadAvoidsRecovery) {
+  // A multi-block read missing exactly one requested block takes the same
+  // degraded branch as a single-block read; two missing blocks recover.
+  for (const ClusterConfig& config : {rs_config(), lrc_config()}) {
+    Cluster cluster(config, 7);
+    Rng rng(7);
+    const auto stripe = rand_stripe(4, rng);
+    ASSERT_TRUE(cluster.write_stripe(0, 0, stripe));
+    cluster.crash(3);
+    const auto before = cluster.total_coordinator_stats();
+    EXPECT_EQ(cluster.read_blocks(0, 0, {1, 3}),
+              (std::vector<Block>{stripe[1], stripe[3]}));
+    const auto after = cluster.total_coordinator_stats();
+    EXPECT_EQ(after.degraded_reads, before.degraded_reads + 1)
+        << erasure::to_string(config.code);
+    EXPECT_EQ(after.recoveries_started, before.recoveries_started)
+        << erasure::to_string(config.code);
+  }
+  Cluster cluster(rs_config(), 8);  // RS(8, 4) tolerates f = 2
+  Rng rng(8);
+  const auto stripe = rand_stripe(4, rng);
+  ASSERT_TRUE(cluster.write_stripe(0, 0, stripe));
+  cluster.crash(1);
+  cluster.crash(3);
+  EXPECT_EQ(cluster.read_blocks(0, 0, {1, 3}),
+            (std::vector<Block>{stripe[1], stripe[3]}));
+  EXPECT_EQ(cluster.total_coordinator_stats().degraded_reads, 0u);
+  EXPECT_EQ(cluster.total_coordinator_stats().recoveries_started, 1u);
+}
+
 TEST(RepairPlanTest, DegradedReadStillLinearizesAfterPartialWrite) {
   // A write that reached only some replicas leaves no common complete
   // version at the probe round; the degraded read must fall back to the
@@ -132,7 +162,7 @@ TEST(RepairPlanTest, DegradedReadStillLinearizesAfterPartialWrite) {
 
   const auto v2 = rand_stripe(4, rng);
   bool write_done = false;
-  cluster.coordinator(1).write_stripe(0, v2, [&](bool) { write_done = true; });
+  cluster.coordinator(1).write_stripe(0, v2, [&](auto) { write_done = true; });
   // Let the write start (Order phase lands somewhere), then kill its
   // coordinator mid-flight.
   cluster.simulator().run_for(1);

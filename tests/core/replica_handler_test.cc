@@ -192,6 +192,79 @@ TEST(ReplicaHandlerTest, ModifyRejectsStaleBaseVersion) {
   EXPECT_FALSE(f.handle<ModifyRep>(0, req).status);
 }
 
+// Malformed requests: a CRC-valid datagram can carry any field values the
+// codec accepts. Each shape below used to abort the brick (and, replayed
+// from its journal, abort it again on every restart); the replica now
+// refuses it with status=false before touching the store.
+
+/// Sends `req` to replica p and expects a refusal that left no state.
+void expect_refused(Fixture& f, ProcessId p, Message req) {
+  EXPECT_FALSE(f.handle<ModifyRep>(p, std::move(req)).status);
+  EXPECT_FALSE(f.stores[p]->has_replica(0)) << "refusal touched the store";
+}
+
+TEST(ReplicaHandlerTest, MultiModifyWithoutIndicesOrDeltaIsRefused) {
+  Fixture f;  // replica 3 is a parity position
+  expect_refused(f, 3,
+                 MultiModifyReq{0, 1, {}, std::nullopt, kLowTS, f.ts(10)});
+}
+
+TEST(ReplicaHandlerTest, MultiModifyWithWrongSizeDeltaIsRefused) {
+  Fixture f;
+  Rng rng(10);
+  expect_refused(f, 3, MultiModifyReq{0, 1, {0}, random_block(rng, 100),
+                                      kLowTS, f.ts(10)});
+}
+
+TEST(ReplicaHandlerTest, MultiModifyWithBadIndicesIsRefused) {
+  Fixture f;
+  Rng rng(11);
+  const Block delta = random_block(rng, kB);
+  expect_refused(f, 3,
+                 MultiModifyReq{0, 1, {0, 0}, delta, kLowTS, f.ts(10)});
+  expect_refused(f, 3, MultiModifyReq{0, 2, {kM}, delta, kLowTS, f.ts(10)});
+}
+
+TEST(ReplicaHandlerTest, ModifyWithWrongSizeBlocksIsRefused) {
+  Fixture f;
+  Rng rng(12);
+  expect_refused(f, 3,
+                 ModifyReq{0, 1, 0, random_block(rng, 100),
+                           random_block(rng, 100), kLowTS, f.ts(10)});
+}
+
+TEST(ReplicaHandlerTest, ModifyOfNonDataIndexIsRefused) {
+  Fixture f;
+  Rng rng(13);
+  expect_refused(f, 3,
+                 ModifyReq{0, 1, 77, zero_block(kB), random_block(rng, kB),
+                           kLowTS, f.ts(10)});
+}
+
+TEST(ReplicaHandlerTest, ModifyDeltaWithoutNeededPayloadIsRefused) {
+  Fixture f;
+  expect_refused(f, 0,
+                 ModifyDeltaReq{0, 1, 0, std::nullopt, kLowTS, f.ts(10)});
+  expect_refused(f, 3,
+                 ModifyDeltaReq{0, 2, 0, std::nullopt, kLowTS, f.ts(10)});
+}
+
+TEST(ReplicaHandlerTest, WriteOfWrongSizeIsRefused) {
+  Fixture f;
+  Rng rng(14);
+  for (std::size_t size : {std::size_t{0}, kB - 1, kB + 1}) {
+    EXPECT_FALSE(
+        f.handle<WriteRep>(0, WriteReq{0, 1, f.ts(10), random_block(rng, size)})
+            .status)
+        << "size " << size;
+  }
+  EXPECT_FALSE(f.stores[0]->has_replica(0));
+  // The same request with a block of the right size still applies.
+  EXPECT_TRUE(
+      f.handle<WriteRep>(0, WriteReq{0, 2, f.ts(10), random_block(rng, kB)})
+          .status);
+}
+
 TEST(ReplicaHandlerTest, GcHasNoReplyAndTrims) {
   Fixture f;
   Rng rng(9);

@@ -80,7 +80,7 @@ TEST(ScrubTest, RepairHealsCorruptedParity) {
   ASSERT_EQ(scrub(cluster, 0, 0), Coordinator::ScrubResult::kCorrupt);
 
   std::optional<bool> repaired;
-  cluster.coordinator(0).repair_stripe(0, [&](bool ok) { repaired = ok; });
+  cluster.coordinator(0).repair_stripe(0, [&](auto r) { repaired = r.ok(); });
   cluster.simulator().run_until_pred([&] { return repaired.has_value(); });
   EXPECT_EQ(repaired, true);
   EXPECT_EQ(scrub(cluster, 1, 0), Coordinator::ScrubResult::kClean);
@@ -101,7 +101,7 @@ TEST(ScrubTest, InconclusiveWhenRacingAWrite) {
   Rng rng(7);
   ASSERT_TRUE(cluster.write_stripe(0, 0, random_stripe(rng)));
   // Start a write; scrub one delta later, mid-flight.
-  cluster.coordinator(0).write_stripe(0, random_stripe(rng), [](bool) {});
+  cluster.coordinator(0).write_stripe(0, random_stripe(rng), [](auto) {});
   std::optional<Coordinator::ScrubResult> result;
   cluster.simulator().schedule_after(sim::kDefaultDelta, [&] {
     cluster.coordinator(1).scrub_stripe(

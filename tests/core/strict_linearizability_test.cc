@@ -134,11 +134,12 @@ class StressRunner {
           record->parts.push_back(
               {&history(stripe, j), history(stripe, j).begin_write(ids[j], s)});
         cluster_->coordinator(coord).write_stripe(
-            stripe, std::move(data), [this, record](bool ok) {
+            stripe, std::move(data), [this, record](auto w) {
               if (record->done) return;
               record->done = true;
               const std::uint64_t s2 = seq();
-              for (auto& [h, ref] : record->parts) h->end_write(ref, s2, ok);
+              for (auto& [h, ref] : record->parts)
+                h->end_write(ref, s2, w.ok());
             });
         break;
       }
@@ -148,13 +149,13 @@ class StressRunner {
           record->parts.push_back(
               {&history(stripe, j), history(stripe, j).begin_read(s)});
         cluster_->coordinator(coord).read_stripe(
-            stripe, [this, record](Coordinator::StripeResult result) {
+            stripe, [this, record](Coordinator::StripeOutcome result) {
               if (record->done) return;
               record->done = true;
               const std::uint64_t s2 = seq();
               for (std::uint32_t j = 0; j < record->parts.size(); ++j) {
                 auto& [h, ref] = record->parts[j];
-                if (!result.has_value()) {
+                if (!result.ok()) {
                   h->end_read(ref, s2, std::nullopt);
                   continue;
                 }
@@ -172,11 +173,12 @@ class StressRunner {
         record->parts.push_back(
             {&history(stripe, j), history(stripe, j).begin_write(id, seq())});
         cluster_->coordinator(coord).write_block(
-            stripe, j, std::move(b), [this, record](bool ok) {
+            stripe, j, std::move(b), [this, record](auto w) {
               if (record->done) return;
               record->done = true;
               const std::uint64_t s2 = seq();
-              for (auto& [h, ref] : record->parts) h->end_write(ref, s2, ok);
+              for (auto& [h, ref] : record->parts)
+                h->end_write(ref, s2, w.ok());
             });
         break;
       }
@@ -198,11 +200,12 @@ class StressRunner {
           record->parts.push_back({&history(stripe, js[i]),
                                    history(stripe, js[i]).begin_write(ids[i], s)});
         cluster_->coordinator(coord).write_blocks(
-            stripe, js, std::move(data), [this, record](bool ok) {
+            stripe, js, std::move(data), [this, record](auto w) {
               if (record->done) return;
               record->done = true;
               const std::uint64_t s2 = seq();
-              for (auto& [h, ref] : record->parts) h->end_write(ref, s2, ok);
+              for (auto& [h, ref] : record->parts)
+                h->end_write(ref, s2, w.ok());
             });
         break;
       }
@@ -217,13 +220,13 @@ class StressRunner {
           record->parts.push_back(
               {&history(stripe, j), history(stripe, j).begin_read(s)});
         cluster_->coordinator(coord).read_blocks(
-            stripe, *js, [this, record](Coordinator::StripeResult result) {
+            stripe, *js, [this, record](Coordinator::StripeOutcome result) {
               if (record->done) return;
               record->done = true;
               const std::uint64_t s2 = seq();
               for (std::size_t i = 0; i < record->parts.size(); ++i) {
                 auto& [h, ref] = record->parts[i];
-                if (!result.has_value()) {
+                if (!result.ok()) {
                   h->end_read(ref, s2, std::nullopt);
                   continue;
                 }
@@ -239,12 +242,12 @@ class StressRunner {
         record->parts.push_back(
             {&history(stripe, j), history(stripe, j).begin_read(seq())});
         cluster_->coordinator(coord).read_block(
-            stripe, j, [this, record](Coordinator::BlockResult result) {
+            stripe, j, [this, record](Coordinator::BlockOutcome result) {
               if (record->done) return;
               record->done = true;
               const std::uint64_t s2 = seq();
               auto& [h, ref] = record->parts[0];
-              if (!result.has_value()) {
+              if (!result.ok()) {
                 h->end_read(ref, s2, std::nullopt);
                 return;
               }

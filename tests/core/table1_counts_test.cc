@@ -68,7 +68,7 @@ class Table1Test : public ::testing::Test {
   /// new timestamp but crashes before any Write message is sent, leaving
   /// ord-ts > max-ts(log) on every replica.
   void make_partial_write() {
-    cluster_->coordinator(1).write_stripe(0, random_stripe(), [](bool) {});
+    cluster_->coordinator(1).write_stripe(0, random_stripe(), [](auto) {});
     // Order delivered at δ, replies at 2δ, Write would go out at 2δ.
     cluster_->simulator().run_for(sim::kDefaultDelta + 1);
     cluster_->crash(1);
@@ -212,7 +212,7 @@ TEST_F(Table1Test, CascadingPartialBlockWritesAreRolledBack) {
                   [&] { cluster_->crash(7); });
   bool first_done = false;
   cluster_->coordinator(7).write_block(0, 0, random_block(*rng_, kB),
-                                       [&](bool) { first_done = true; });
+                                       [&](auto) { first_done = true; });
   sim.run_until_idle();
   EXPECT_FALSE(first_done);  // partial: coordinator died mid-operation
   cluster_->network().heal();

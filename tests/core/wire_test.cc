@@ -206,6 +206,33 @@ TEST(WireTest, ValidateTsRoundTripsBothWays) {
   }
 }
 
+TEST(WireTest, TagOfEveryKindIsPinned) {
+  // Journal records begin with this tag (encode_message_body), and
+  // decode_journal stops at the first record it cannot decode, treating the
+  // rest as a torn tail. Deleting or reordering a Message alternative would
+  // move every later kind to a new tag — GcReq, journaled after every
+  // complete write, included — and a brick restarted on the new binary
+  // would silently drop its journal from the first moved record on. So the
+  // tags are fixed; retiring a kind (ModifyDeltaReq is replay-only) waits
+  // for a journal revision header.
+  const std::vector<Message> kinds = {
+      ReadReq{},      ReadRep{},      OrderReq{},          OrderRep{},
+      OrderReadReq{}, OrderReadRep{}, MultiOrderReadReq{}, WriteReq{},
+      WriteRep{},     ModifyReq{},    ModifyRep{},         ModifyDeltaReq{},
+      MultiModifyReq{}, GcReq{}};
+  ASSERT_EQ(kinds.size(), std::variant_size_v<Message>);
+  for (std::size_t tag = 0; tag < kinds.size(); ++tag) {
+    ASSERT_EQ(kinds[tag].index(), tag);
+    Bytes body;
+    encode_message_body(kinds[tag], body);
+    ASSERT_FALSE(body.empty());
+    EXPECT_EQ(body[0], tag);
+    const auto decoded = decode_message_body(body.data(), body.size());
+    ASSERT_TRUE(decoded.has_value()) << "tag " << tag;
+    EXPECT_EQ(decoded->index(), tag);
+  }
+}
+
 TEST(WireTest, PayloadDominatedByBlocks) {
   // The wire overhead per block is small and fixed — the Table 1 convention
   // of counting only block payload is a good approximation.

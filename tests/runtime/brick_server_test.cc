@@ -193,6 +193,59 @@ TEST_F(BrickServerTest, SingleBrickRestartRejoinsQuorum) {
   client->close();
 }
 
+TEST_F(BrickServerTest, MalformedRequestNeitherKillsNorWedgesABrick) {
+  // CRC-valid datagrams whose fields make no sense for the geometry, sent
+  // to brick kM — a parity position of stripe 0. The brick journals each
+  // mutating request before handling it, so the refusal must hold twice:
+  // live, and when the restarted brick replays its journal.
+  const ProcessId parity = kM;
+  const std::vector<core::Message> malformed = {
+      core::MultiModifyReq{0, 1, {}, std::nullopt, kLowTS, Timestamp{10, 9}},
+      core::ModifyReq{0, 2, 0, Block(100), Block(100), kLowTS,
+                      Timestamp{11, 9}},
+  };
+  EpollLoop loop(/*seed=*/3);
+  std::mutex mu;
+  std::vector<bool> statuses;
+  DatagramMux mux(&loop, /*self=*/kBricks + 9, Endpoint{"127.0.0.1", 0},
+                  [&](ProcessId, std::vector<core::Message> msgs) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    for (const auto& m : msgs)
+                      if (const auto* rep = std::get_if<core::ModifyRep>(&m))
+                        statuses.push_back(rep->status);
+                  });
+  mux.set_peers(cluster_->endpoints());
+  loop.start();
+  loop.run_sync([&] {
+    for (const auto& msg : malformed) mux.send(parity, msg);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (;;) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (statuses.size() == malformed.size()) break;
+    }
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no replies";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  loop.stop();
+  for (bool status : statuses) EXPECT_FALSE(status);
+
+  cluster_->stop(parity);
+  restart(parity);
+  EXPECT_GE(cluster_->brick(parity)->stats().journal_replayed,
+            malformed.size());
+  // With another brick down, every quorum needs the restarted one.
+  cluster_->stop(kBricks - 1);
+  auto client = make_client(kBricks);
+  ASSERT_TRUE(client->write(0, pattern(0x5a)).ok());
+  const auto read = client->read(0);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value(), pattern(0x5a));
+  client->close();
+}
+
 TEST_F(BrickServerTest, StoppedBricksWithinBudgetNeverBlockIo) {
   // f = (n - m) / 2 = 1 brick down for good: every quorum still forms.
   auto client = make_client(kBricks);

@@ -49,7 +49,9 @@ void usage(const char* argv0) {
                "  --stripes S      stripes in the volume (default 4)\n"
                "  --ops K          workload operations (default 100)\n"
                "  --write-frac F   write fraction (default 0.5)\n"
-               "  --wide-frac F    stripe/multi-block op fraction (default 0.3)\n"
+               "  --wide-frac F    stripe/multi-block op fraction (default 0.3);\n"
+               "                   1 in m multi-block writes names one block,\n"
+               "                   the 5.2 delta block write\n"
                "  --window-us U    campaign window in microseconds\n"
                "  --skew-us U      max per-brick clock skew in microseconds\n"
                "  --crashes K --partitions K --isolations K\n"
@@ -60,7 +62,6 @@ void usage(const char* argv0) {
                "                   network faults whole multi-op frames\n"
                "  --deadline-us U  per-phase op deadline (0 = wait forever)\n"
                "  --retries K      client retry budget for aborted ops\n"
-               "  --delta-writes   enable the 5.2 delta block-write path\n"
                "  --read-cache     cached single-round reads (default on)\n"
                "  --no-read-cache  force every read down the quorum path\n"
                "  --verbose        per-campaign stats + fault schedules\n"
@@ -172,7 +173,6 @@ bool parse(int argc, char** argv, Options* opt) {
       cfg.op_deadline = fabec::sim::microseconds(static_cast<std::int64_t>(us));
     }
     else if (a == "--retries") ok = next_u32(&cfg.client_retries);
-    else if (a == "--delta-writes") cfg.delta_block_writes = true;
     else if (a == "--read-cache") cfg.read_cache = true;
     else if (a == "--no-read-cache") cfg.read_cache = false;
     else if (a == "--verbose") opt->verbose = true;
