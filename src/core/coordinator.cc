@@ -880,8 +880,9 @@ void Coordinator::write_block(StripeId stripe, BlockIndex j, Block block,
 
 void Coordinator::write_blocks(StripeId stripe, std::vector<BlockIndex> js,
                                std::vector<Block> blocks, WriteOutcomeCb done) {
-  ++stats_.multi_block_writes;
   FABEC_CHECK(!js.empty() && js.size() == blocks.size());
+  // Counted by how many blocks the write covers, not by entry point.
+  ++(js.size() == 1 ? stats_.block_writes : stats_.multi_block_writes);
   for (std::size_t i = 0; i < js.size(); ++i) {
     FABEC_CHECK_MSG(js[i] < config_.m, "data indices only");
     for (std::size_t l = i + 1; l < js.size(); ++l)
@@ -1009,16 +1010,20 @@ std::function<Message(std::uint32_t, OpId)> Coordinator::modify_request(
                        w->blocks[0], ts_j, w->ts};
     };
   }
-  // Combined per-parity deltas: Δ_p = Σ_j G[p][j]·(old_j ^ new_j).
+  // Combined per-parity deltas: Δ_p = Σ_j G[p][j]·(old_j ^ new_j), with
+  // each old_j ^ new_j formed once and shared by every parity.
+  std::vector<Block> diffs;
+  diffs.reserve(w->js.size());
+  for (std::size_t i = 0; i < w->js.size(); ++i) {
+    diffs.push_back(*old_blocks[i]);
+    xor_into(diffs.back(), w->blocks[i]);
+  }
   const std::size_t block_size = old_blocks[0]->size();
   auto deltas = std::make_shared<std::vector<Block>>();
   for (std::uint32_t p = config_.m; p < config_.n; ++p) {
     Block delta(block_size, 0);
-    for (std::size_t i = 0; i < w->js.size(); ++i) {
-      Block d = *old_blocks[i];
-      xor_into(d, w->blocks[i]);
-      codec_->apply_modify_delta(w->js[i], p, d, delta);
-    }
+    for (std::size_t i = 0; i < w->js.size(); ++i)
+      codec_->apply_modify_delta(w->js[i], p, diffs[i], delta);
     deltas->push_back(std::move(delta));
   }
   return [w, deltas, ts_j, m = config_.m](std::uint32_t pos,

@@ -58,9 +58,10 @@ struct CoordinatorStats {
   std::uint64_t stripe_reads = 0;
   std::uint64_t stripe_writes = 0;
   std::uint64_t block_reads = 0;
+  /// Writes of one block, through write_block or a one-index write_blocks.
   std::uint64_t block_writes = 0;
   std::uint64_t multi_block_reads = 0;
-  std::uint64_t multi_block_writes = 0;
+  std::uint64_t multi_block_writes = 0;  ///< writes of two or more blocks
   std::uint64_t fast_read_hits = 0;        ///< reads satisfied in one round
   std::uint64_t recoveries_started = 0;    ///< recover() invocations
   std::uint64_t recovery_iterations = 0;   ///< read-prev-stripe loop rounds
@@ -184,7 +185,8 @@ class Coordinator {
   void write_blocks(StripeId stripe, std::vector<BlockIndex> js,
                     std::vector<Block> blocks, WriteOutcomeCb done);
   /// Algorithm 3's block write as published: the Modify round ships (old,
-  /// new) to every process, (2n + 1)B in all (Table 1).
+  /// new) to every process, (2n + 1)B in all (Table 1). Kept as the
+  /// paper's reference shape; front ends write through write_blocks.
   void write_block(StripeId stripe, BlockIndex j, Block block,
                    WriteOutcomeCb done);
 

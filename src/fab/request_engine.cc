@@ -214,21 +214,12 @@ void RequestEngine::dispatch_group(StripeId stripe, bool is_write,
       FABEC_CHECK(op != nullptr);  // dispatch_stripe filtered stale tokens
       blocks.push_back(op->data);
     }
-    if (js.size() == 1) {
-      coordinator.write_block(
-          stripe, js.front(), std::move(blocks.front()),
-          Coordinator::WriteOutcomeCb([this, gid](
-              Coordinator::WriteOutcome outcome) {
-            finish_write_group(gid, std::move(outcome));
-          }));
-    } else {
-      coordinator.write_blocks(
-          stripe, std::move(js), std::move(blocks),
-          Coordinator::WriteOutcomeCb([this, gid](
-              Coordinator::WriteOutcome outcome) {
-            finish_write_group(gid, std::move(outcome));
-          }));
-    }
+    coordinator.write_blocks(
+        stripe, std::move(js), std::move(blocks),
+        Coordinator::WriteOutcomeCb([this, gid](
+            Coordinator::WriteOutcome outcome) {
+          finish_write_group(gid, std::move(outcome));
+        }));
   } else {
     coordinator.read_blocks(
         stripe, std::move(js),

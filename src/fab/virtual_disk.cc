@@ -65,7 +65,7 @@ void VirtualDisk::write(Lba lba, Block data, WriteOutcomeCb done,
   auto block = std::make_shared<const Block>(std::move(data));
   attempt<WriteOutcome>(
       [stripe, j, block](core::Coordinator& c, WriteOutcomeCb cb) {
-        c.write_block(stripe, j, Block(*block), std::move(cb));
+        c.write_blocks(stripe, {j}, {*block}, std::move(cb));
       },
       1, retry_.initial_backoff, std::move(done), coord);
 }

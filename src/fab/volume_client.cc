@@ -180,8 +180,8 @@ VolumeClient::WriteOutcome VolumeClient::write(Lba lba, Block data) {
   auto block = std::make_shared<const Block>(std::move(data));
   return with_retries<WriteOutcome>(
       [stripe, j, block](core::Coordinator& c, auto complete) {
-        c.write_block(stripe, j, *block,
-                      core::Coordinator::WriteOutcomeCb(std::move(complete)));
+        c.write_blocks(stripe, {j}, {*block},
+                       core::Coordinator::WriteOutcomeCb(std::move(complete)));
       });
 }
 

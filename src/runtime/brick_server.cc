@@ -199,14 +199,15 @@ void BrickServer::handle_request(ProcessId from, core::Message msg) {
   std::optional<core::Message> reply = replica_->handle(msg);
   FABEC_CHECK(reply.has_value());  // every non-Gc request has a reply
 
+  mux_->send(from, *reply);
+
+  // Cached by move: a read reply's block is not copied a second time.
   if (reply_cache_.size() >= kReplyCacheCap) {
     reply_cache_.erase(reply_cache_order_.front());
     reply_cache_order_.pop_front();
   }
-  reply_cache_.emplace(key, *reply);
+  reply_cache_.emplace(key, std::move(*reply));
   reply_cache_order_.push_back(key);
-
-  mux_->send(from, *reply);
   maybe_compact();
 }
 

@@ -56,10 +56,11 @@ sim::EventId EpollLoop::schedule_event(sim::Duration delay,
     id = sim::EventId{due, next_seq_++};
     timers_.emplace(id, std::move(fn));
   }
-  // The loop may be sleeping past the new deadline; poke it. (A loop-thread
-  // caller re-derives its timeout before the next epoll_wait anyway, but
-  // the eventfd write is too cheap to special-case.)
-  wake();
+  // Another thread must poke the loop, which may be sleeping past the new
+  // deadline. The loop thread itself re-derives its timeout from the queue
+  // before its next epoll_wait, so a poke there would only cost an eventfd
+  // write and a spurious wakeup — twice per coordinator round.
+  if (!on_loop_thread()) wake();
   return id;
 }
 
@@ -147,9 +148,11 @@ void EpollLoop::loop_main() {
     for (int i = 0; i < ready && !stopping_; ++i) {
       const int fd = events[i].data.fd;
       if (fd == wake_fd_) {
+        // A non-semaphore eventfd returns (and clears) its whole count in
+        // one read.
         std::uint64_t drained;
-        while (::read(wake_fd_, &drained, sizeof drained) > 0) {
-        }
+        [[maybe_unused]] const ssize_t n =
+            ::read(wake_fd_, &drained, sizeof drained);
         continue;
       }
       // Look up per event: an earlier handler this round may remove_fd.

@@ -83,6 +83,29 @@ TEST(DeltaWriteTest, DiskCostsUnchanged) {
   EXPECT_EQ(cluster.total_io().disk_writes, kK + 1);
 }
 
+TEST(DeltaWriteTest, StatsCountWritesByBlockCountNotEntryPoint) {
+  // A write is counted by how many blocks it covers: a one-index
+  // write_blocks is a block write like write_block, so fast-write fractions
+  // (fast_block_write_hits / block_writes) mean the same whichever entry
+  // point a front end uses.
+  Cluster cluster(make_config(), /*seed=*/8);
+  Rng rng(8);
+  ASSERT_TRUE(cluster.write_stripe(0, 0, random_stripe(rng)));
+  ASSERT_TRUE(delta_write(cluster, 0, 2, random_block(rng, kB)));
+  CoordinatorStats stats = cluster.total_coordinator_stats();
+  EXPECT_EQ(stats.block_writes, 1u);
+  EXPECT_EQ(stats.multi_block_writes, 0u);
+  EXPECT_EQ(stats.fast_block_write_hits, 1u);
+
+  ASSERT_TRUE(cluster.write_block(1, 0, 3, random_block(rng, kB)));
+  ASSERT_TRUE(cluster.write_blocks(
+      2, 0, {0, 4}, {random_block(rng, kB), random_block(rng, kB)}));
+  stats = cluster.total_coordinator_stats();
+  EXPECT_EQ(stats.block_writes, 2u);
+  EXPECT_EQ(stats.multi_block_writes, 1u);
+  EXPECT_EQ(stats.fast_block_write_hits, 3u);
+}
+
 TEST(DeltaWriteTest, SequentialDeltaWritesKeepParityConsistent) {
   // The acid test for the coded deltas: after many delta writes,
   // reconstructing from parity-only subsets must still work.

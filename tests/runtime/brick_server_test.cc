@@ -103,9 +103,22 @@ TEST_F(BrickServerTest, WriteReadRoundTrip) {
   }
   EXPECT_EQ(client->stats().ok, 2 * kNumBlocks);
   // Bricks learned the client's ephemeral address from its datagrams; every
-  // reply they sent proves the reply-to-source path.
-  for (ProcessId id = 0; id < kBricks; ++id)
-    EXPECT_GT(cluster_->brick(id)->stats().requests_handled, 0u);
+  // reply they sent proves the reply-to-source path. A quorum completes
+  // without the slowest brick, so a brick may still be catching up: poll
+  // its counter, read on its own loop thread, until a bounded deadline.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (ProcessId id = 0; id < kBricks; ++id) {
+    BrickServer& brick = *cluster_->brick(id);
+    std::uint64_t handled = 0;
+    for (;;) {
+      brick.loop().run_sync(
+          [&] { handled = brick.stats().requests_handled; });
+      if (handled > 0 || std::chrono::steady_clock::now() >= deadline) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_GT(handled, 0u) << "brick " << id;
+  }
   client->close();
 }
 

@@ -109,6 +109,38 @@ TEST(EpollLoopTest, FdCallbackFiresOnReadable) {
   ::close(fds[1]);
 }
 
+TEST(EpollLoopTest, ShortTimerArmedFromFdHandlerFiresOnTime) {
+  // The coordinator's shape: a datagram handler arms a retransmit timer
+  // while the loop's only other timer is far away. The loop-thread arm
+  // sends no wakeup, so the loop must re-derive its epoll timeout from the
+  // new deadline instead of sleeping until the far one.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  EpollLoop loop;
+  loop.schedule_event(sim::seconds(30), [] {});
+  std::int64_t armed_at = 0;
+  std::promise<std::int64_t> fired;
+  loop.add_fd(fds[0], [&] {
+    char c = 0;
+    ASSERT_EQ(::read(fds[0], &c, 1), 1);
+    armed_at = loop.now_ns();
+    loop.schedule_event(sim::milliseconds(2),
+                        [&] { fired.set_value(loop.now_ns()); });
+  });
+  loop.start();
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  auto future = fired.get_future();
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  const std::int64_t waited = future.get() - armed_at;
+  EXPECT_GE(waited, sim::milliseconds(2));
+  EXPECT_LT(waited, sim::milliseconds(500));
+  loop.run_sync([&] { loop.remove_fd(fds[0]); });
+  loop.stop();
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
 TEST(EpollLoopTest, StopIsIdempotentFromAnyThread) {
   EpollLoop loop;
   loop.start();
