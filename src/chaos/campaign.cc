@@ -1,9 +1,12 @@
 #include "chaos/campaign.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -11,35 +14,31 @@
 #include "common/fnv.h"
 #include "core/cluster.h"
 #include "fab/layout.h"
+#include "fab/retry.h"
 #include "hist/history.h"
 
 namespace fabec::chaos {
 
 namespace {
 
-/// The shape of one register operation; a retried attempt re-dispatches the
-/// same kind against a freshly picked coordinator.
-enum class OpKind {
-  kWriteStripe,
-  kWriteBlocks,
-  kWriteBlock,
-  kReadStripe,
-  kReadBlocks,
-  kReadBlock,
-};
+template <typename T>
+using Callback = std::function<void(T)>;
+/// Starts one attempt of a logical operation at a coordinator.
+template <typename T>
+using Starter = std::function<void(core::Coordinator&, Callback<T>)>;
 
-/// One in-flight register operation and its projections onto the per-block
-/// histories it touches (a stripe operation projects onto all m blocks).
+/// One logical register operation: every attempt the retry loop makes,
+/// recorded as ONE history operation per block it touches.
 struct OpRecord {
-  ProcessId coord = 0;
-  bool done = false;
-  OpKind kind = OpKind::kReadBlock;
   StripeId stripe = 0;
-  BlockIndex j = 0;
-  std::uint32_t attempts_left = 0;  ///< retries remaining after this attempt
-  sim::Duration backoff = 0;        ///< delay before the next retry
-  sim::Time issued_at = 0;
-  std::vector<std::pair<hist::History*, hist::History::OpRef>> parts;
+  std::vector<BlockIndex> js;
+  std::vector<Block> values;  ///< writes: one fresh value per index
+  /// Coordinator of the attempt in flight; kNoProcess between attempts.
+  ProcessId coord = kNoProcess;
+  bool done = false;
+  std::optional<core::OpError> last_error;  ///< of the previous attempt
+  sim::Time attempt_started = 0;
+  hist::Recorder::Op hist;
 };
 
 class CampaignRunner {
@@ -108,34 +107,22 @@ class CampaignRunner {
   }
 
  private:
-  hist::History& history(StripeId stripe, BlockIndex j) {
-    return histories_[{stripe, j}];
+  hist::Recorder::Key key(StripeId stripe, BlockIndex j) const {
+    return stripe * cfg_.m + j;
   }
 
-  std::uint64_t seq() { return ++seq_; }
-
-  hist::ValueId fresh_value(Block* out) {
-    const hist::ValueId id = next_value_++;
+  Block fresh_value() {
+    FABEC_CHECK_MSG(cfg_.block_size >= sizeof(next_value_),
+                    "block size too small to carry unique values");
     Block b = zero_block(cfg_.block_size);
-    FABEC_CHECK_MSG(cfg_.block_size >= sizeof(hist::ValueId),
-                    "block size too small to carry unique value ids");
-    for (std::size_t i = 0; i < sizeof(hist::ValueId); ++i)
+    const std::uint64_t id = next_value_++;
+    for (std::size_t i = 0; i < sizeof(id); ++i)
       b[i] = static_cast<std::uint8_t>(id >> (8 * i));
-    values_[b] = id;
-    *out = std::move(b);
-    return id;
-  }
-
-  std::optional<hist::ValueId> value_of(const Block& b) {
-    if (b == zero_block(cfg_.block_size)) return hist::kNil;
-    auto it = values_.find(b);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
+    return b;
   }
 
   void mark_crashed(OpRecord& op) {
-    const std::uint64_t s = seq();
-    for (auto& [h, ref] : op.parts) h->crash(ref, s);
+    recorder_.crash(op.hist);
     op.done = true;
     ++result_.ops_crashed;
   }
@@ -171,252 +158,133 @@ class CampaignRunner {
     return kNoProcess;
   }
 
+  /// Draws one logical operation — its kind, blocks and (for writes) its
+  /// values, fixed across every attempt — and runs it under cfg_.retry.
   void issue(const fab::WorkloadOp& wop) {
-    const StripeId stripe = layout_.stripe_of(wop.lba);
+    using core::Coordinator;
+    auto op = std::make_shared<OpRecord>();
+    op->stripe = layout_.stripe_of(wop.lba);
     const BlockIndex j = layout_.index_of(wop.lba);
     const bool wide = cfg_.m >= 2 && rng_.chance(cfg_.wide_op_fraction);
-    const bool whole_stripe = wide && rng_.chance(0.5);
-    OpKind kind;
-    if (wop.is_write)
-      kind = whole_stripe ? OpKind::kWriteStripe
-                          : (wide ? OpKind::kWriteBlocks : OpKind::kWriteBlock);
-    else
-      kind = whole_stripe ? OpKind::kReadStripe
-                          : (wide ? OpKind::kReadBlocks : OpKind::kReadBlock);
-    dispatch(kind, stripe, j, cfg_.client_retries, cfg_.retry_backoff);
-  }
-
-  /// Issues one attempt. The retry budget and the backoff it would use on
-  /// the next attempt travel with the record.
-  void dispatch(OpKind kind, StripeId stripe, BlockIndex j,
-                std::uint32_t attempts_left, sim::Duration backoff) {
-    const ProcessId coord = pick_coordinator();
-    if (coord == kNoProcess) {
-      ++result_.ops_skipped;
-      return;
-    }
-    ++result_.ops_issued;
-    auto record = std::make_shared<OpRecord>();
-    record->coord = coord;
-    record->kind = kind;
-    record->stripe = stripe;
-    record->j = j;
-    record->attempts_left = attempts_left;
-    record->backoff = backoff;
-    record->issued_at = cluster_->simulator().now();
-    ops_.push_back(record);
-
-    switch (kind) {
-      case OpKind::kWriteStripe:
-        issue_write_stripe(coord, stripe, record);
-        break;
-      case OpKind::kWriteBlocks:
-        issue_write_blocks(coord, stripe, j, record);
-        break;
-      case OpKind::kWriteBlock:
-        issue_write_block(coord, stripe, j, record);
-        break;
-      case OpKind::kReadStripe:
-        issue_read_stripe(coord, stripe, record);
-        break;
-      case OpKind::kReadBlocks:
-        issue_read_blocks(coord, stripe, j, record);
-        break;
-      case OpKind::kReadBlock:
-        issue_read_block(coord, stripe, j, record);
-        break;
+    const bool whole = wide && rng_.chance(0.5);
+    for (std::uint32_t b = 0; b < (whole ? cfg_.m : 1); ++b)
+      op->js.push_back(whole ? b : j);
+    if (wop.is_write) {
+      // One draw picks the second index; one draw in m leaves js = {j},
+      // the one-block per-destination write (§5.2's delta form).
+      if (wide && !whole)
+        if (const auto step = rng_.next_below(cfg_.m); step != 0)
+          op->js.push_back(static_cast<BlockIndex>((j + step) % cfg_.m));
+      for (std::size_t i = 0; i < op->js.size(); ++i)
+        op->values.push_back(fresh_value());
+      run<Coordinator::WriteOutcome>(
+          op,
+          [op, wide, whole](Coordinator& c, auto cb) {
+            if (whole)
+              c.write_stripe(op->stripe, op->values, std::move(cb));
+            else if (wide)
+              c.write_blocks(op->stripe, op->js, op->values, std::move(cb));
+            else
+              c.write_block(op->stripe, op->js[0], op->values[0],
+                            std::move(cb));
+          },
+          [op](Coordinator& c, auto cb) {
+            c.read_blocks(op->stripe, op->js, [op, cb](auto read) {
+              cb(fab::settle(read, op->values));
+            });
+          });
+    } else {
+      if (wide && !whole)
+        op->js.push_back(static_cast<BlockIndex>(
+            (j + 1 + rng_.next_below(cfg_.m - 1)) % cfg_.m));
+      run<Coordinator::StripeOutcome>(op, [op, wide, whole](
+                                              Coordinator& c, auto cb) {
+        if (whole) {
+          c.read_stripe(op->stripe, std::move(cb));
+        } else if (wide) {
+          c.read_blocks(op->stripe, op->js, std::move(cb));
+        } else {
+          c.read_block(op->stripe, op->js[0], [cb](auto r) {
+            cb(r.ok() ? Coordinator::StripeOutcome({std::move(*r)})
+                      : Coordinator::StripeOutcome(r.error()));
+          });
+        }
+      });
     }
   }
 
-  void note_latency(const OpRecord& record) {
-    const sim::Duration took = cluster_->simulator().now() - record.issued_at;
-    result_.max_attempt_latency =
-        std::max(result_.max_attempt_latency, took);
-  }
-
-  /// Abort-only (§5.1): the client retries ⊥ with capped, jittered,
-  /// doubling backoff. Each reissue is a fresh history operation against a
-  /// freshly picked coordinator — exactly how a FAB client behaves.
-  void maybe_retry(const OpRecord& record) {
-    if (record.attempts_left == 0) return;
-    ++result_.ops_retried;
-    const sim::Duration b = std::max<sim::Duration>(record.backoff, 2);
-    const sim::Duration delay =
-        b / 2 + static_cast<sim::Duration>(
-                    rng_.next_below(static_cast<std::uint64_t>(b / 2 + 1)));
-    const sim::Duration next =
-        std::min<sim::Duration>(8 * std::max<sim::Duration>(
-                                        cfg_.retry_backoff, 1),
-                                2 * b);
-    cluster_->simulator().schedule_after(
-        delay, [this, kind = record.kind, stripe = record.stripe,
-                j = record.j, attempts = record.attempts_left - 1, next] {
-          dispatch(kind, stripe, j, attempts, next);
+  /// The client loop: fab::run_with_retries over the simulator, each
+  /// attempt at a freshly picked coordinator. An op whose first attempt
+  /// finds no live coordinator is skipped, never recorded. A write passes
+  /// `resolve`, the read that settles it after an abort after send.
+  template <typename T>
+  void run(const std::shared_ptr<OpRecord>& op, Starter<T> start,
+           Starter<T> resolve = nullptr) {
+    auto attempt = [this, op](Starter<T> f, bool resend) {
+      return [this, op, f, resend](Callback<T> cb) {
+        const ProcessId coord = pick_coordinator();
+        if (coord == kNoProcess) {
+          cb(core::OpError::kMisrouted);
+          return;
+        }
+        if (op->hist.parts.empty()) {  // first attempt
+          ++result_.ops_issued;
+          ops_.push_back(op);
+          std::vector<hist::Recorder::Key> keys;
+          for (BlockIndex b : op->js) keys.push_back(key(op->stripe, b));
+          op->hist = op->values.empty()
+                         ? recorder_.begin_read(keys)
+                         : recorder_.begin_write(keys, op->values);
+        } else {
+          ++result_.ops_retried;
+          if (resend && op->last_error == core::OpError::kAbortedAfterSend)
+            ++result_.retries_after_send;
+        }
+        op->coord = coord;
+        op->attempt_started = cluster_->simulator().now();
+        f(cluster_->coordinator(coord), [this, op, cb](T outcome) {
+          result_.max_attempt_latency = std::max(
+              result_.max_attempt_latency,
+              cluster_->simulator().now() - op->attempt_started);
+          op->coord = kNoProcess;
+          op->last_error = outcome.ok() ? std::nullopt
+                                        : std::optional(outcome.error());
+          cb(std::move(outcome));
         });
+      };
+    };
+    fab::run_with_retries<T>(
+        cluster_->executor(), cfg_.retry, rng_, attempt(start, true),
+        [this, op](T outcome, std::uint32_t) {
+          if (op->hist.parts.empty()) {
+            ++result_.ops_skipped;
+            return;
+          }
+          finish(*op, outcome);
+        },
+        resolve ? attempt(resolve, false) : std::function<void(Callback<T>)>());
   }
 
-  // --- writes -----------------------------------------------------------
-
-  void finish_write(const std::shared_ptr<OpRecord>& record,
-                    core::Coordinator::WriteOutcome outcome) {
-    if (record->done) return;
-    record->done = true;
-    note_latency(*record);
-    // Both aborts and timeouts enter the history as indeterminate writes
-    // (the oracle lets them take effect or not); they differ only in
-    // accounting and in whether the client retries.
-    const std::uint64_t s = seq();
-    for (auto& [h, ref] : record->parts) h->end_write(ref, s, outcome.ok());
+  /// Records and tallies a logical op's final outcome. Aborts and timeouts
+  /// enter the history as indeterminate: the oracle lets them take effect
+  /// or not.
+  template <typename T>
+  void finish(OpRecord& op, const T& outcome) {
+    op.done = true;
+    if constexpr (std::is_same_v<T, core::Coordinator::WriteOutcome>)
+      recorder_.end_write(op.hist, outcome.ok());
+    else
+      recorder_.end_read(op.hist,
+                         outcome.ok() ? *outcome : std::vector<Block>{});
     if (outcome.ok()) {
       ++result_.ops_ok;
     } else if (outcome.error() == core::OpError::kTimeout) {
       ++result_.ops_timed_out;
     } else {
       ++result_.ops_aborted;
-      maybe_retry(*record);
+      if (outcome.error() == core::OpError::kAbortedAfterSend)
+        ++result_.ops_aborted_after_send;
     }
-  }
-
-  void issue_write_stripe(ProcessId coord, StripeId stripe,
-                          std::shared_ptr<OpRecord> record) {
-    std::vector<Block> data;
-    std::vector<hist::ValueId> ids;
-    for (std::uint32_t b = 0; b < cfg_.m; ++b) {
-      Block blk;
-      ids.push_back(fresh_value(&blk));
-      data.push_back(std::move(blk));
-    }
-    const std::uint64_t s = seq();
-    for (std::uint32_t b = 0; b < cfg_.m; ++b)
-      record->parts.push_back(
-          {&history(stripe, b), history(stripe, b).begin_write(ids[b], s)});
-    cluster_->coordinator(coord).write_stripe(
-        stripe, std::move(data),
-        core::Coordinator::WriteOutcomeCb(
-            [this, record](core::Coordinator::WriteOutcome w) {
-              finish_write(record, w);
-            }));
-  }
-
-  /// One draw picks the second index; one draw in m leaves js = {j}, the
-  /// one-block per-destination write (§5.2's delta form).
-  void issue_write_blocks(ProcessId coord, StripeId stripe, BlockIndex j,
-                          std::shared_ptr<OpRecord> record) {
-    std::vector<BlockIndex> js{j};
-    if (const auto step = rng_.next_below(cfg_.m); step != 0)
-      js.push_back(static_cast<BlockIndex>((j + step) % cfg_.m));
-    std::vector<Block> data;
-    std::vector<hist::ValueId> ids;
-    for (std::size_t i = 0; i < js.size(); ++i) {
-      Block blk;
-      ids.push_back(fresh_value(&blk));
-      data.push_back(std::move(blk));
-    }
-    const std::uint64_t s = seq();
-    for (std::size_t i = 0; i < js.size(); ++i)
-      record->parts.push_back({&history(stripe, js[i]),
-                               history(stripe, js[i]).begin_write(ids[i], s)});
-    cluster_->coordinator(coord).write_blocks(
-        stripe, js, std::move(data),
-        core::Coordinator::WriteOutcomeCb(
-            [this, record](core::Coordinator::WriteOutcome w) {
-              finish_write(record, w);
-            }));
-  }
-
-  void issue_write_block(ProcessId coord, StripeId stripe, BlockIndex j,
-                         std::shared_ptr<OpRecord> record) {
-    Block blk;
-    const hist::ValueId id = fresh_value(&blk);
-    record->parts.push_back(
-        {&history(stripe, j), history(stripe, j).begin_write(id, seq())});
-    cluster_->coordinator(coord).write_block(
-        stripe, j, std::move(blk),
-        core::Coordinator::WriteOutcomeCb(
-            [this, record](core::Coordinator::WriteOutcome w) {
-              finish_write(record, w);
-            }));
-  }
-
-  // --- reads ------------------------------------------------------------
-
-  void finish_read(const std::shared_ptr<OpRecord>& record,
-                   const core::Coordinator::StripeOutcome& result) {
-    if (record->done) return;
-    record->done = true;
-    note_latency(*record);
-    if (result.ok()) {
-      ++result_.ops_ok;
-    } else if (result.error() == core::OpError::kTimeout) {
-      ++result_.ops_timed_out;
-    } else {
-      ++result_.ops_aborted;
-      maybe_retry(*record);
-    }
-    const std::uint64_t s = seq();
-    for (std::size_t i = 0; i < record->parts.size(); ++i) {
-      auto& [h, ref] = record->parts[i];
-      if (!result.ok()) {
-        h->end_read(ref, s, std::nullopt);
-        continue;
-      }
-      const auto id = value_of((*result)[i]);
-      if (!id.has_value()) {
-        // Record as aborted (imposes no ordering constraints); the failure
-        // itself is already fatal for the campaign.
-        fail("read returned a value no writer ever produced");
-        h->end_read(ref, s, std::nullopt);
-        continue;
-      }
-      h->end_read(ref, s, id);
-    }
-  }
-
-  void issue_read_stripe(ProcessId coord, StripeId stripe,
-                         std::shared_ptr<OpRecord> record) {
-    const std::uint64_t s = seq();
-    for (std::uint32_t b = 0; b < cfg_.m; ++b)
-      record->parts.push_back(
-          {&history(stripe, b), history(stripe, b).begin_read(s)});
-    cluster_->coordinator(coord).read_stripe(
-        stripe, core::Coordinator::StripeOutcomeCb(
-                    [this, record](core::Coordinator::StripeOutcome r) {
-                      finish_read(record, r);
-                    }));
-  }
-
-  void issue_read_blocks(ProcessId coord, StripeId stripe, BlockIndex j,
-                         std::shared_ptr<OpRecord> record) {
-    std::vector<BlockIndex> js{j, static_cast<BlockIndex>(
-                                      (j + 1 + rng_.next_below(cfg_.m - 1)) %
-                                      cfg_.m)};
-    const std::uint64_t s = seq();
-    for (BlockIndex b : js)
-      record->parts.push_back(
-          {&history(stripe, b), history(stripe, b).begin_read(s)});
-    cluster_->coordinator(coord).read_blocks(
-        stripe, js, core::Coordinator::StripeOutcomeCb(
-                        [this, record](core::Coordinator::StripeOutcome r) {
-                          finish_read(record, r);
-                        }));
-  }
-
-  void issue_read_block(ProcessId coord, StripeId stripe, BlockIndex j,
-                        std::shared_ptr<OpRecord> record) {
-    record->parts.push_back(
-        {&history(stripe, j), history(stripe, j).begin_read(seq())});
-    cluster_->coordinator(coord).read_block(
-        stripe, j, core::Coordinator::BlockOutcomeCb(
-                       [this, record](core::Coordinator::BlockOutcome r) {
-                         if (r.ok()) {
-                           finish_read(record,
-                                       core::Coordinator::StripeOutcome(
-                                           std::vector<Block>{std::move(*r)}));
-                         } else {
-                           finish_read(record, core::Coordinator::StripeOutcome(
-                                                   r.error()));
-                         }
-                       }));
   }
 
   // --- end-of-run scrub/repair (disk-fault campaigns) -------------------
@@ -480,15 +348,12 @@ class CampaignRunner {
   // --- verdict ----------------------------------------------------------
 
   void check() {
-    for (auto& [key, h] : histories_) {
-      const auto verdict = hist::check_strict_linearizability(h);
-      if (!verdict.ok) {
-        std::ostringstream os;
-        os << "stripe " << key.first << " block "
-           << static_cast<std::uint32_t>(key.second) << ": "
-           << verdict.violation;
-        fail(os.str());
-      }
+    for (const hist::Recorder::Violation& v : recorder_.check()) {
+      std::ostringstream os;
+      os << "stripe " << v.key / cfg_.m << " block " << v.key % cfg_.m
+         << ": " << v.message << "\n"
+         << hist::format_history(v.ops);
+      fail(os.str());
     }
     if (nemesis_->stats().persistence_violations > 0)
       fail("persistent state changed across a crash (ord-ts/log must "
@@ -498,11 +363,7 @@ class CampaignRunner {
 
   std::uint64_t hash_run() {
     Fnv1a h;
-    for (const auto& [key, hist] : histories_) {
-      h.update_value(key.first);
-      h.update_value(key.second);
-      h.update_value(hist::fingerprint(hist));
-    }
+    h.update_value(recorder_.fingerprint());
     for (ProcessId p = 0; p < cluster_->brick_count(); ++p)
       h.update_value(cluster_->store(p).fingerprint());
     h.update_value(result_.events_run);
@@ -515,11 +376,9 @@ class CampaignRunner {
   fab::VolumeLayout layout_;
   std::unique_ptr<core::Cluster> cluster_;
   std::unique_ptr<Nemesis> nemesis_;
-  std::map<std::pair<StripeId, BlockIndex>, hist::History> histories_;
+  hist::Recorder recorder_;
   std::vector<std::shared_ptr<OpRecord>> ops_;
-  std::map<Block, hist::ValueId> values_;
-  hist::ValueId next_value_ = 1;
-  std::uint64_t seq_ = 0;
+  std::uint64_t next_value_ = 1;
   CampaignResult result_;
 };
 
@@ -555,8 +414,8 @@ std::string replay_command(const CampaignConfig& config, std::uint64_t seed) {
   if (config.batch_frames) os << " --batch-frames";
   if (config.op_deadline != 0)
     os << " --deadline-us " << config.op_deadline / 1000;
-  if (config.client_retries != 0)
-    os << " --retries " << config.client_retries;
+  if (config.retry.max_attempts > 1)
+    os << " --retries " << config.retry.max_attempts - 1;
   if (!config.read_cache) os << " --no-read-cache";
   os << " --verbose";
   return os.str();

@@ -3,9 +3,10 @@
 // One campaign builds a fresh simulated cluster (with seed-derived clock
 // skew and retransmission timing), drives a src/fab workload through
 // randomly chosen coordinators as stripe/block/multi-block register
-// operations, lets a Nemesis inject its fault schedule, records every
-// operation into per-block histories, and finally checks each history
-// against the Appendix B conforming-total-order oracle.
+// operations under the client retry loop, lets a Nemesis inject its fault
+// schedule, records every logical operation into per-block histories
+// (hist::Recorder), and finally checks each history against the Appendix B
+// conforming-total-order oracle.
 //
 // Reproducibility contract: run_campaign(config, seed) is a pure function.
 // The result carries a history hash covering every recorded history and
@@ -21,6 +22,7 @@
 
 #include "chaos/nemesis.h"
 #include "erasure/code_family.h"
+#include "fab/retry.h"
 #include "fab/workload.h"
 #include "sim/time.h"
 
@@ -70,11 +72,9 @@ struct CampaignConfig {
   /// histories, so the linearizability verdict is unaffected — deadlines
   /// trade liveness, never safety.
   sim::Duration op_deadline = 0;
-  /// Client-side retry budget for aborted (⊥, contention) operations; each
-  /// retry is a fresh history operation. Timeouts are never retried.
-  std::uint32_t client_retries = 0;
-  /// Initial retry backoff; doubles per attempt (capped at 8x), jittered.
-  sim::Duration retry_backoff = 2 * sim::kDefaultDelta;
+  /// Client retries (fab/retry.h): each logical call, with all its
+  /// attempts, is one history operation, so the oracle judges them too.
+  fab::RetryPolicy retry;
 
   /// Per-brick clock offsets are drawn uniformly in [-skew, +skew]; skews
   /// both timestamp generation (§2.3 stays correct, abort rate changes)
@@ -95,9 +95,13 @@ struct CampaignResult {
   // Operation outcomes.
   std::uint64_t ops_issued = 0;
   std::uint64_t ops_ok = 0;
-  std::uint64_t ops_aborted = 0;   ///< returned ⊥ (retry budget exhausted)
+  // Logical operations: each counts once, however many attempts it made.
+  std::uint64_t ops_aborted = 0;   ///< returned ⊥ (any abort kind)
+  std::uint64_t ops_aborted_after_send = 0;  ///< of which kAbortedAfterSend
   std::uint64_t ops_timed_out = 0; ///< op_deadline expired mid-phase
-  std::uint64_t ops_retried = 0;   ///< aborted attempts reissued by the client
+  std::uint64_t ops_retried = 0;   ///< later attempts the client issued
+  /// Writes resent after an abort after send; the retry rule keeps it 0.
+  std::uint64_t retries_after_send = 0;
   std::uint64_t ops_crashed = 0;   ///< coordinator crashed mid-operation
   std::uint64_t ops_skipped = 0;   ///< no live coordinator at arrival
   /// Longest client-observed attempt latency (issue -> outcome). With

@@ -141,18 +141,10 @@ void Cluster::deliver_one(ProcessId from, ProcessId to, Message msg) {
 
 namespace {
 
-/// Starts one operation and runs the simulator until it completes. Yields
-/// the value, or nullopt for ⊥ — including a coordinator crash, after which
-/// the callback never runs and the simulator goes idle.
 template <typename T>
-std::optional<T> run_sync(
-    sim::Simulator& sim,
-    const std::function<void(std::function<void(Outcome<T>)>)>& start) {
-  std::optional<Outcome<T>> result;
-  start([&result](Outcome<T> r) { result = std::move(r); });
-  sim.run_until_pred([&result] { return result.has_value(); });
-  if (!result.has_value() || !result->ok()) return std::nullopt;
-  return std::move(**result);
+std::optional<T> value_of(Outcome<T> outcome) {
+  if (!outcome.ok()) return std::nullopt;
+  return std::move(*outcome);
 }
 
 }  // namespace
@@ -160,53 +152,53 @@ std::optional<T> run_sync(
 std::optional<std::vector<Block>> Cluster::read_stripe(ProcessId coord,
                                                        StripeId stripe) {
   FABEC_CHECK_MSG(procs_.alive(coord), "coordinator brick is down");
-  return run_sync<std::vector<Block>>(sim_, [&](auto done) {
+  return value_of(run_sync<std::vector<Block>>([&](auto done) {
     coordinator(coord).read_stripe(stripe, std::move(done));
-  });
+  }));
 }
 
 bool Cluster::write_stripe(ProcessId coord, StripeId stripe,
                            std::vector<Block> data) {
   FABEC_CHECK_MSG(procs_.alive(coord), "coordinator brick is down");
-  return run_sync<Ack>(sim_, [&](auto done) {
+  return run_sync<Ack>([&](auto done) {
            coordinator(coord).write_stripe(stripe, std::move(data),
                                            std::move(done));
-         }).has_value();
+         }).ok();
 }
 
 std::optional<Block> Cluster::read_block(ProcessId coord, StripeId stripe,
                                          BlockIndex j) {
   FABEC_CHECK_MSG(procs_.alive(coord), "coordinator brick is down");
-  return run_sync<Block>(sim_, [&](auto done) {
+  return value_of(run_sync<Block>([&](auto done) {
     coordinator(coord).read_block(stripe, j, std::move(done));
-  });
+  }));
 }
 
 bool Cluster::write_block(ProcessId coord, StripeId stripe, BlockIndex j,
                           Block block) {
   FABEC_CHECK_MSG(procs_.alive(coord), "coordinator brick is down");
-  return run_sync<Ack>(sim_, [&](auto done) {
+  return run_sync<Ack>([&](auto done) {
            coordinator(coord).write_block(stripe, j, std::move(block),
                                           std::move(done));
-         }).has_value();
+         }).ok();
 }
 
 std::optional<std::vector<Block>> Cluster::read_blocks(
     ProcessId coord, StripeId stripe, std::vector<BlockIndex> js) {
   FABEC_CHECK_MSG(procs_.alive(coord), "coordinator brick is down");
-  return run_sync<std::vector<Block>>(sim_, [&](auto done) {
+  return value_of(run_sync<std::vector<Block>>([&](auto done) {
     coordinator(coord).read_blocks(stripe, std::move(js), std::move(done));
-  });
+  }));
 }
 
 bool Cluster::write_blocks(ProcessId coord, StripeId stripe,
                            std::vector<BlockIndex> js,
                            std::vector<Block> blocks) {
   FABEC_CHECK_MSG(procs_.alive(coord), "coordinator brick is down");
-  return run_sync<Ack>(sim_, [&](auto done) {
+  return run_sync<Ack>([&](auto done) {
            coordinator(coord).write_blocks(stripe, std::move(js),
                                            std::move(blocks), std::move(done));
-         }).has_value();
+         }).ok();
 }
 
 storage::DiskStats Cluster::total_io() const {

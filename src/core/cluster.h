@@ -76,6 +76,7 @@ class Cluster {
   std::uint32_t brick_count() const { return layout_.total_bricks(); }
   const GroupLayout& group_layout() const { return layout_; }
   sim::Simulator& simulator() { return sim_; }
+  sim::Executor& executor() { return executor_; }
   sim::Network<Envelope>& network() { return net_; }
   sim::ProcessSet& processes() { return procs_; }
   Coordinator& coordinator(ProcessId p) { return *bricks_[p]->coordinator; }
@@ -124,6 +125,18 @@ class Cluster {
     crash(p);  // ensure volatile state is dropped (and notify the listener)
     bricks_[p]->store.wipe();
     procs_.recover(p);
+  }
+
+  /// Starts one operation and runs the simulator until it completes. A
+  /// coordinator crash leaves the operation without an outcome (the
+  /// simulator goes idle): that reads as ⊥.
+  template <typename T>
+  Outcome<T> run_sync(
+      const std::function<void(std::function<void(Outcome<T>)>)>& start) {
+    std::optional<Outcome<T>> result;
+    start([&result](Outcome<T> r) { result = std::move(r); });
+    sim_.run_until_pred([&result] { return result.has_value(); });
+    return result.has_value() ? std::move(*result) : OpError::kAborted;
   }
 
   // --- synchronous conveniences (tests & benches) -------------------------

@@ -77,7 +77,8 @@ OpId Coordinator::start_rpc_impl(
     std::function<Message(std::uint32_t, OpId)> make_request,
     std::function<void(Replies&, bool)> on_complete,
     std::size_t expected_kind, std::vector<std::uint32_t> wait_for,
-    std::vector<std::uint32_t> contacts) {
+    std::vector<std::uint32_t> contacts,
+    std::function<bool(const Replies&)> hold) {
   FABEC_CHECK(dests.size() == config_.n);
   const OpId op = next_op_++;
   Rpc rpc;
@@ -88,6 +89,7 @@ OpId Coordinator::start_rpc_impl(
   rpc.expected_kind = expected_kind;
   rpc.wait_for = std::move(wait_for);
   rpc.contacts = std::move(contacts);
+  rpc.hold = std::move(hold);
   rpc.on_complete = std::move(on_complete);
   pending_.emplace(op, std::move(rpc));
   Rpc& placed = pending_.find(op)->second;
@@ -215,6 +217,7 @@ void Coordinator::on_reply(ProcessId from, const Message& reply) {
     return;
   }
   if (rpc.distinct < config_.quorum()) return;
+  if (rpc.hold && rpc.distinct < config_.n && rpc.hold(rpc.replies)) return;
   const OpId op = it->first;
   // Quorum met. If the phase named specific positions it wants answers
   // from, optionally hold the door open for them a little longer.
@@ -573,28 +576,18 @@ void Coordinator::read_prev_stripe(std::shared_ptr<RecoverState> state) {
           state->done(OpError::kAborted);  // line 29: conflicting operation
           return;
         }
-        // Lines 30-31: newest version timestamp among the replies, and the
-        // blocks stored at exactly that version.
-        Timestamp max = kLowTS;
-        for (const auto& r : replies)
-          if (const OrderReadRep* rep = as<OrderReadRep>(r))
-            max = std::max(max, rep->lts);
-        std::vector<erasure::ShardView> shards;
-        std::vector<BlockIndex> positions;
-        for (ProcessId p = 0; p < config_.n; ++p) {
-          const OrderReadRep* rep = as<OrderReadRep>(replies[p]);
-          if (rep != nullptr && rep->lts == max && rep->block.has_value()) {
-            shards.push_back(erasure::ShardView{p, *rep->block});
-            positions.push_back(p);
-          }
-        }
-        // "At least m shards" is the MDS criterion; a pattern-dependent
-        // family (LRC) must ask decodable() — some supersets of m blocks
-        // still cannot reconstruct, and some can only with > m of them.
-        if (codec_->decodable(positions)) {
-          state->done(codec_->decode_blocks(shards));
+        const RecoveryRound round = judge_recovery_round(replies);
+        if (round.decodable) {
+          state->done(codec_->decode_blocks(round.shards));
           return;
         }
+        if (round.unresolved) {
+          // Every member replied and the version still cannot be read:
+          // report ⊥ rather than descend to an older value.
+          state->done(OpError::kAborted);
+          return;
+        }
+        const Timestamp max = round.max;
         if (max <= kLowTS) {
           // Fewer than m blocks even at LowTS: only possible if garbage
           // collection outpaced us, in which case a complete newer version
@@ -604,7 +597,43 @@ void Coordinator::read_prev_stripe(std::shared_ptr<RecoverState> state) {
         }
         state->bound = max;  // descend strictly: max-below is exclusive
         read_prev_stripe(state);
+      },
+      /*wait_for=*/{},
+      [this](const Replies& replies) {
+        return all_status_true<OrderReadRep>(replies) &&
+               judge_recovery_round(replies).unresolved;
       });
+}
+
+Coordinator::RecoveryRound Coordinator::judge_recovery_round(
+    const Replies& replies) const {
+  RecoveryRound round;
+  round.max = kLowTS;
+  for (const auto& r : replies)
+    if (const OrderReadRep* rep = as<OrderReadRep>(r))
+      round.max = std::max(round.max, rep->lts);
+  std::vector<BlockIndex> positions;
+  std::uint32_t unvouched = 0, behind = 0;
+  for (ProcessId p = 0; p < config_.n; ++p) {
+    const OrderReadRep* rep = as<OrderReadRep>(replies[p]);
+    if (rep == nullptr) continue;
+    if (rep->lts < round.max) {
+      ++behind;
+    } else if (!rep->block.has_value()) {
+      ++unvouched;
+    } else {
+      round.shards.push_back(erasure::ShardView{p, *rep->block});
+      positions.push_back(p);
+    }
+  }
+  // "At least m shards" is the MDS criterion; a pattern-dependent family
+  // (LRC) must ask decodable() — some supersets of m blocks still cannot
+  // reconstruct, and some can only with > m of them.
+  round.decodable = codec_->decodable(positions);
+  // A complete write reached n - f members, so more than f replies behind
+  // max prove max incomplete and safe to descend past.
+  round.unresolved = !round.decodable && unvouched > 0 && behind <= config_.f();
+  return round;
 }
 
 void Coordinator::write_stripe(StripeId stripe, std::vector<Block> data,
@@ -634,11 +663,15 @@ void Coordinator::write_stripe(StripeId stripe, std::vector<Block> data,
           done(OpError::kAborted);
           return;
         }
+        // From here on the data is on the wire: an abort may have taken
+        // effect on some replicas, so it must not be retried.
         store_stripe(stripe, shared_data, ts,
                      [this, done](WriteOutcome stored) {
                        if (!stored.ok() &&
-                           stored.error() == OpError::kAborted)
+                           stored.error() == OpError::kAborted) {
                          ++stats_.aborts;
+                         stored = OpError::kAbortedAfterSend;
+                       }
                        done(std::move(stored));
                      });
       });
@@ -707,7 +740,8 @@ void Coordinator::read_block(StripeId stripe, BlockIndex j,
 
 void Coordinator::read_blocks(StripeId stripe, std::vector<BlockIndex> js,
                               StripeOutcomeCb done) {
-  ++stats_.multi_block_reads;
+  // Counted by how many blocks the read covers, not by entry point.
+  ++(js.size() == 1 ? stats_.block_reads : stats_.multi_block_reads);
   read_data_blocks(stripe, std::move(js), std::move(done));
 }
 
@@ -916,17 +950,26 @@ void Coordinator::run_block_write(std::shared_ptr<BlockWrite> write,
         done(std::move(slow));
         return;
       }
-      // The op is ⊥ either way, but an aborted slow path can mean the
-      // stripe is torn in a shape the fast path keeps tripping over (e.g.
-      // one degraded brick soaked up a partial Modify no other replica
-      // accepted). A read would heal it via recover(); a write-only client
-      // would livelock its retries. Converge the stripe under a fresh
-      // recovery ts — rolling the torn state forward or back exactly as a
-      // read would — then report the abort so the retry starts from a
-      // consistent stripe.
+      // An aborted slow path can mean the stripe is torn in a shape the
+      // fast path keeps tripping over (e.g. one degraded brick soaked up a
+      // partial Modify no other replica accepted). A read would heal it via
+      // recover(); a write-only client would livelock. Converge the stripe
+      // under a fresh recovery ts — rolling the torn state forward or back
+      // exactly as a read would. If it rolled THIS write forward, the write
+      // took effect inside its call and is now complete on a quorum: OK.
+      // Otherwise it is ⊥, and retryable only if its blocks never left.
       ++stats_.write_repairs;
-      recover(w->stripe, [done = std::move(done)](StripeOutcome) {
-        done(OpError::kAborted);
+      recover(w->stripe, [this, w, done = std::move(done)](
+                             StripeOutcome repaired) {
+        bool took_effect = repaired.ok();
+        for (std::size_t i = 0; took_effect && i < w->js.size(); ++i)
+          took_effect = (*repaired)[w->js[i]] == w->blocks[i];
+        if (took_effect) {
+          done(Ack{});
+          return;
+        }
+        ++stats_.aborts;
+        done(w->sent ? OpError::kAbortedAfterSend : OpError::kAborted);
       });
     });
   });
@@ -980,6 +1023,7 @@ void Coordinator::fast_write_blocks(BlockWritePtr w, WriteOutcomeCb done) {
         const Timestamp ts_j = w->paper_modify
                                    ? as<OrderReadRep>(replies[w->js[0]])->lts
                                    : *common;
+        w->sent = true;
         start_rpc<ModifyRep>(
             layout_->group(w->stripe), modify_request(w, old_blocks, ts_j),
             [this, w, done](Replies& modify_replies, bool modify_timed_out) {
@@ -1057,19 +1101,14 @@ void Coordinator::slow_write_blocks(BlockWritePtr w, WriteOutcomeCb done) {
   // timestamp.
   state->done = [this, w, done = std::move(done)](StripeOutcome prev) {
     if (!prev.ok()) {
-      if (prev.error() == OpError::kAborted) ++stats_.aborts;
       done(prev.error());
       return;
     }
     auto value = std::make_shared<std::vector<Block>>(std::move(*prev));
     for (std::size_t i = 0; i < w->js.size(); ++i)
       (*value)[w->js[i]] = w->blocks[i];
-    store_stripe(w->stripe, std::move(value), w->ts,
-                 [this, done](WriteOutcome stored) {
-                   if (!stored.ok() && stored.error() == OpError::kAborted)
-                     ++stats_.aborts;
-                   done(std::move(stored));
-                 });
+    w->sent = true;
+    store_stripe(w->stripe, std::move(value), w->ts, std::move(done));
   };
   read_prev_stripe(std::move(state));
 }

@@ -57,10 +57,11 @@ namespace fabec::core {
 struct CoordinatorStats {
   std::uint64_t stripe_reads = 0;
   std::uint64_t stripe_writes = 0;
+  /// Reads of one block, through read_block or a one-index read_blocks.
   std::uint64_t block_reads = 0;
   /// Writes of one block, through write_block or a one-index write_blocks.
   std::uint64_t block_writes = 0;
-  std::uint64_t multi_block_reads = 0;
+  std::uint64_t multi_block_reads = 0;  ///< reads of two or more blocks
   std::uint64_t multi_block_writes = 0;  ///< writes of two or more blocks
   std::uint64_t fast_read_hits = 0;        ///< reads satisfied in one round
   std::uint64_t recoveries_started = 0;    ///< recover() invocations
@@ -292,6 +293,9 @@ class Coordinator {
     /// the grace timer doubles as the fallback timer that finalizes early
     /// with partial replies.
     std::vector<std::uint32_t> contacts;
+    /// Set = a quorum may not be enough: while hold(replies) is true and
+    /// some member has not replied, the phase keeps waiting.
+    std::function<bool(const std::vector<std::optional<Message>>&)> hold;
     /// timed_out=true means the deadline expired: `replies` holds whatever
     /// arrived (short of quorum) and the phase will make no progress.
     std::function<void(std::vector<std::optional<Message>>&, bool timed_out)>
@@ -311,17 +315,19 @@ class Coordinator {
   OpId start_rpc(std::vector<ProcessId> dests,
                  std::function<Message(std::uint32_t, OpId)> make_request,
                  std::function<void(Replies&, bool)> on_complete,
-                 std::vector<std::uint32_t> wait_for = {}) {
+                 std::vector<std::uint32_t> wait_for = {},
+                 std::function<bool(const Replies&)> hold = {}) {
     return start_rpc_impl(std::move(dests), std::move(make_request),
                           std::move(on_complete), message_kind_of<Rep>,
-                          std::move(wait_for));
+                          std::move(wait_for), {}, std::move(hold));
   }
   OpId start_rpc_impl(std::vector<ProcessId> dests,
                       std::function<Message(std::uint32_t, OpId)> make_request,
                       std::function<void(Replies&, bool)> on_complete,
                       std::size_t expected_kind,
                       std::vector<std::uint32_t> wait_for,
-                      std::vector<std::uint32_t> contacts = {});
+                      std::vector<std::uint32_t> contacts = {},
+                      std::function<bool(const Replies&)> hold = {});
   void transmit_round(OpId op, bool retransmit);
   void arm_retransmit(OpId op);
   void begin_finalize(OpId op);
@@ -380,6 +386,18 @@ class Coordinator {
   void recover(StripeId stripe, StripeOutcomeCb done);
   struct RecoverState;
   void read_prev_stripe(std::shared_ptr<RecoverState> state);
+  /// Lines 30-31 over one recovery round's replies: the newest timestamp
+  /// and the shards stored at exactly it. `unresolved` = they cannot
+  /// decode, a holder of max replied without its (rotted) block, and at
+  /// most f replies lag behind max, so max may be a complete write that
+  /// descending would lose.
+  struct RecoveryRound {
+    Timestamp max;
+    std::vector<erasure::ShardView> shards;
+    bool decodable = false;
+    bool unresolved = false;
+  };
+  RecoveryRound judge_recovery_round(const Replies& replies) const;
   /// Encodes and writes one complete stripe version. Takes shared ownership
   /// of the data blocks: only the k parity blocks are computed (into fresh
   /// buffers); the data blocks themselves are referenced, not copied, until
@@ -398,6 +416,9 @@ class Coordinator {
     /// Fast-round shape: OrderRead(j) + Modify(old, new) to every process
     /// (write_block), or per-destination MultiOrderRead + MultiModify.
     bool paper_modify = false;
+    /// Set once a message carrying the blocks (the Modify round or the slow
+    /// path's store) left: from then on an abort is kAbortedAfterSend.
+    mutable bool sent = false;
   };
   using BlockWritePtr = std::shared_ptr<const BlockWrite>;
   /// The one write sequence: fast round, then the slow path, then the

@@ -18,15 +18,19 @@ namespace fabec::core {
 /// read resolves it. The taxonomy only changes what the *client* should do
 /// next; it never weakens the safety argument (DESIGN.md §9).
 enum class OpError {
-  /// Contention abort (§3, §5.1): a concurrent operation won the timestamp
-  /// order. The paper assumes clients retry; see fab::RetryPolicy.
+  /// Contention abort (§3, §5.1) of a read, or of a write before any
+  /// message carrying its blocks left: no effect, so fab/retry.h resends.
   kAborted,
+  /// A write's abort after its blocks left: a reader may already have
+  /// recovered it, and a resend under a fresh timestamp could land after a
+  /// newer write (readers would see A, B, A). Never resent; a read settles.
+  kAbortedAfterSend,
   /// Options::op_deadline expired before a phase reached quorum. The op's
   /// timers are cancelled and it will make no further progress. Retrying
   /// against the same partition usually just burns the budget.
   kTimeout,
   /// No live coordinator could be found to route the request. Nothing was
-  /// sent; unlike the other two errors the register state is untouched.
+  /// sent; unlike the other errors the register state is untouched.
   kMisrouted,
 };
 
@@ -34,6 +38,8 @@ inline const char* to_string(OpError e) {
   switch (e) {
     case OpError::kAborted:
       return "aborted";
+    case OpError::kAbortedAfterSend:
+      return "aborted after send";
     case OpError::kTimeout:
       return "timeout";
     case OpError::kMisrouted:
@@ -46,11 +52,12 @@ inline const char* to_string(OpError e) {
 struct Ack {};
 
 /// Either a value or an OpError. operator bool is explicit and there are no
-/// implicit conversions from bool/optional, so callback overloads taking
-/// Outcome<T> never collide with the legacy std::optional/bool callbacks.
+/// implicit conversions from bool/optional.
 template <typename T>
 class Outcome {
  public:
+  using value_type = T;
+
   Outcome(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
   Outcome(OpError error) : error_(error) {}       // NOLINT(runtime/explicit)
 

@@ -105,9 +105,15 @@ Message RegisterReplica::on_order_read(const OrderReadReq& req) {
       if (auto version = replica.max_below(req.bound, store_->io())) {
         rep.lts = version->ts;
         rep.block = std::move(version->block);
+      } else if (req.j == kAllBlocks) {
+        // A recovery round: name the version whose block rotted, without
+        // the block. Replying LowTS would claim this replica missed the
+        // version, and a quorum counting that claim could descend past a
+        // complete write.
+        if (auto rotted = replica.rotted_below(req.bound)) rep.lts = *rotted;
       }
-      // else: the log holds nothing below the bound (post-GC) — reply
-      // (LowTS, ⊥), the line 51 defaults.
+      // Otherwise — nothing below the bound (post-GC), or a rotted block
+      // in a targeted read — reply (LowTS, ⊥), the line 51 defaults.
     }
   }
   return rep;

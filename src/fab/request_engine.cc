@@ -275,7 +275,8 @@ std::optional<RequestEngine::ClientOp> RequestEngine::retire(Token t) {
 
 void RequestEngine::count_error(OpError e) {
   switch (e) {
-    case OpError::kAborted: ++stats_.aborted; break;
+    case OpError::kAborted:
+    case OpError::kAbortedAfterSend: ++stats_.aborted; break;
     case OpError::kTimeout: ++stats_.timed_out; break;
     case OpError::kMisrouted: ++stats_.misrouted; break;
   }

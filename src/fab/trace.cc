@@ -108,8 +108,7 @@ ConcurrencyReport analyze_stripe_conflicts(std::vector<TraceRecord> trace,
 
 ReplayStats replay_trace(VirtualDisk& disk,
                          const std::vector<TraceRecord>& trace) {
-  auto stats = std::make_unique<ReplayStats>();
-  ReplayStats& s = *stats;
+  ReplayStats s;
   auto& sim = disk.cluster().simulator();
   Rng rng(12345);
   std::vector<TraceRecord> sorted = trace;
@@ -125,36 +124,27 @@ ReplayStats replay_trace(VirtualDisk& disk,
       if (r.is_write) {
         ++s.writes;
         disk.write(r.lba, random_block(rng, disk.block_size()),
-                   VirtualDisk::WriteOutcomeCb(
-                       [&s, &sim, start](VirtualDisk::WriteOutcome w) {
-                         s.write_latency.record(sim.now() - start);
-                         if (w.ok())
-                           ++s.ok;
-                         else if (w.error() == core::OpError::kTimeout)
-                           ++s.timed_out;
-                         else
-                           ++s.aborted;
-                       }));
+                   [&s, &sim, start](VirtualDisk::WriteOutcome) {
+                     s.write_latency.record(sim.now() - start);
+                   });
       } else {
         ++s.reads;
-        disk.read(r.lba, VirtualDisk::BlockOutcomeCb(
-                             [&s, &sim, start](VirtualDisk::BlockOutcome v) {
-                               s.read_latency.record(sim.now() - start);
-                               if (v.ok())
-                                 ++s.ok;
-                               else if (v.error() == core::OpError::kTimeout)
-                                 ++s.timed_out;
-                               else
-                                 ++s.aborted;
-                             }));
+        disk.read(r.lba, [&s, &sim, start](VirtualDisk::BlockOutcome) {
+          s.read_latency.record(sim.now() - start);
+        });
       }
     });
   }
   sim.run_until_idle();
-  s.aborted_retried =
-      disk.client_stats().aborted_retried - before.aborted_retried;
-  s.retries = disk.client_stats().retries - before.retries;
-  return std::move(*stats);
+  // Outcomes are the disk's own tallies over the replay.
+  const ClientStats& after = disk.client_stats();
+  s.ok = after.ok - before.ok;
+  s.aborted = after.aborted - before.aborted + after.misrouted -
+              before.misrouted;
+  s.timed_out = after.timed_out - before.timed_out;
+  s.aborted_retried = after.aborted_retried - before.aborted_retried;
+  s.retries = after.retries - before.retries;
+  return s;
 }
 
 }  // namespace fabec::fab

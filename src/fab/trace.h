@@ -70,8 +70,9 @@ ConcurrencyReport analyze_stripe_conflicts(std::vector<TraceRecord> trace,
 
 /// Replays a trace against a virtual disk on its cluster's simulator.
 /// Outcomes are final (after the disk's RetryPolicy): `aborted` is ⊥ with
-/// the retry budget exhausted, `aborted_retried` counts aborts the retry
-/// layer absorbed, `timed_out` counts deadline expiries (never retried).
+/// the retry budget exhausted, `aborted_retried` counts operations that
+/// took more than one attempt, `retries` the later attempts themselves,
+/// `timed_out` counts deadline expiries (never retried).
 struct ReplayStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;

@@ -7,13 +7,14 @@
 // disk round-robins coordinators across live bricks, which is both load
 // balancing and what exercises the fully decentralized coordination.
 //
-// The disk is also where the paper's "clients retry the operation" (§5.1)
-// lives: an aborted (⊥) block operation is retried under the RetryPolicy of
-// fab/retry.h.
+// Block reads and writes run under fab/retry.h's one retry loop (§5.1's
+// "clients retry the operation"), resending only attempts that had no
+// effect.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -44,6 +45,7 @@ class VirtualDisk {
   using WriteOutcome = core::Coordinator::WriteOutcome;
   using BlockOutcomeCb = core::Coordinator::BlockOutcomeCb;
   using WriteOutcomeCb = core::Coordinator::WriteOutcomeCb;
+  using StripeOutcomeCb = core::Coordinator::StripeOutcomeCb;
 
   /// The cluster must outlive the disk. The disk's stripe width is the
   /// cluster's m.
@@ -56,23 +58,23 @@ class VirtualDisk {
 
   // --- asynchronous single-block I/O ------------------------------------
   /// Reads logical block `lba` through coordinator `coord` (kNoProcess =
-  /// pick round-robin among live bricks). Applies the RetryPolicy to
-  /// aborts; the outcome is the final attempt's.
+  /// pick round-robin among live bricks). Applies the RetryPolicy; the
+  /// outcome is the final attempt's.
   void read(Lba lba, BlockOutcomeCb done, ProcessId coord = kNoProcess);
   void write(Lba lba, Block data, WriteOutcomeCb done,
              ProcessId coord = kNoProcess);
 
   // --- synchronous I/O (runs the simulator until completion) ------------
+  // One register operation per stripe the span touches, each under the
+  // RetryPolicy: a whole stripe is one read-stripe / write-stripe (the RAID
+  // small-write vs full-stripe-write distinction), a part of one is one
+  // multi-block operation (footnote 2; over one block, §5.2's delta write).
   std::optional<Block> read_sync(Lba lba, ProcessId coord = kNoProcess);
   bool write_sync(Lba lba, Block data, ProcessId coord = kNoProcess);
-
-  /// Reads [lba, lba + count) and returns the blocks, or nullopt if any
-  /// block read aborts. Whole-stripe spans use one read-stripe operation.
+  /// Reads [lba, lba + count), or nullopt if any stripe's read fails.
   std::optional<std::vector<Block>> read_range_sync(
       Lba lba, std::uint64_t count, ProcessId coord = kNoProcess);
-  /// Writes [lba, lba + data.size()). Spans covering a whole stripe are
-  /// issued as one write-stripe (the RAID small-write vs full-stripe-write
-  /// distinction); partial spans fall back to per-block writes.
+  /// Writes [lba, lba + data.size()); false if any stripe's write fails.
   bool write_range_sync(Lba lba, const std::vector<Block>& data,
                         ProcessId coord = kNoProcess);
 
@@ -83,19 +85,27 @@ class VirtualDisk {
   /// kNoProcess when no live brick is available (the op is misrouted).
   ProcessId pick_coordinator(ProcessId requested);
 
-  /// Starts one attempt of a block operation at a coordinator.
+  /// Starts one attempt of an operation at a coordinator.
   template <typename T>
   using Starter =
       std::function<void(core::Coordinator&, std::function<void(T)>)>;
-  /// Runs attempt number `attempt` of a read or write, and schedules the
-  /// next one after a jittered backoff if it aborts within the budget.
+  /// Runs an operation under the RetryPolicy, each attempt at a freshly
+  /// picked coordinator; a write passes `resolve` (see run_with_retries).
   template <typename T>
-  void attempt(Starter<T> start, std::uint32_t attempt, sim::Duration backoff,
-               std::function<void(T)> done, ProcessId requested);
-  /// Jittered wait for the current attempt, and the grown cap-bounded
-  /// backoff for the next one.
-  sim::Duration jittered(sim::Duration backoff);
-  sim::Duration grown(sim::Duration backoff) const;
+  void with_retries(Starter<T> start, std::function<void(T)> done,
+                    ProcessId requested, Starter<T> resolve = nullptr);
+  /// One register operation on data indices `js` of global stripe `stripe`
+  /// under the RetryPolicy: the stripe operation if `whole` (js is then
+  /// 0..m-1), else the multi-block one. Blocks are in js order.
+  void read_blocks(StripeId stripe, std::vector<BlockIndex> js, bool whole,
+                   StripeOutcomeCb done, ProcessId coord);
+  void write_blocks(StripeId stripe, std::vector<BlockIndex> js,
+                    std::vector<Block> blocks, bool whole,
+                    WriteOutcomeCb done, ProcessId coord);
+  /// Groups the span [lba, lba + count) by stripe: stripe -> span offsets,
+  /// in block-index order.
+  std::map<StripeId, std::vector<std::uint64_t>> by_stripe(
+      Lba lba, std::uint64_t count) const;
 
   /// Global stripe id for a volume-relative stripe index.
   StripeId global_stripe(StripeId local) const { return stripe_base_ + local; }

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <future>
-#include <thread>
 
 #include "common/check.h"
 
@@ -124,54 +123,45 @@ T VolumeClient::blocking_op(T closed_value, Start&& start) {
   return result;
 }
 
-sim::Duration VolumeClient::jittered(sim::Duration backoff) {
-  const double j = config_.retry.jitter;
-  if (j <= 0) return backoff;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const double factor = 1.0 - j + 2.0 * j * rng_.next_double();
-  return static_cast<sim::Duration>(static_cast<double>(backoff) * factor);
-}
-
-template <typename T, typename Start>
-T VolumeClient::with_retries(const Start& start) {
-  sim::Duration backoff = config_.retry.initial_backoff;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    T outcome = blocking_op<T>(T(core::OpError::kMisrouted), start);
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (outcome.ok()) {
-      ++stats_.ok;
-      return outcome;
-    }
-    if (outcome.error() == core::OpError::kAborted &&
-        attempt < config_.retry.max_attempts && !closed_) {
-      ++stats_.retries;
-      ++stats_.aborted_retried;
-      lock.unlock();
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(jittered(backoff)));
-      backoff = std::min<sim::Duration>(
-          static_cast<sim::Duration>(static_cast<double>(backoff) *
-                                     config_.retry.backoff_factor),
-          config_.retry.max_backoff);
-      continue;
-    }
-    switch (outcome.error()) {
-      case core::OpError::kAborted: ++stats_.aborted; break;
-      case core::OpError::kTimeout: ++stats_.timed_out; break;
-      case core::OpError::kMisrouted: ++stats_.misrouted; break;
-    }
-    return outcome;
+template <typename T, typename A, typename R>
+T VolumeClient::with_retries(A attempt, R resolve) {
+  // Written on the loop before it completes the op; close() fails the op
+  // only after joining the loop, so either way the read below is ordered.
+  std::uint32_t attempts = 1;
+  T outcome = T(core::OpError::kMisrouted);
+  if (config_.retry.max_attempts <= 1) {
+    // Nothing to resend: the attempt goes straight to the coordinator.
+    outcome = blocking_op<T>(
+        T(core::OpError::kMisrouted),
+        [attempt = std::move(attempt)](core::Coordinator&, auto complete) {
+          attempt(std::function<void(T)>(std::move(complete)));
+        });
+  } else {
+    outcome = blocking_op<T>(
+        T(core::OpError::kMisrouted),
+        [this, &attempts, attempt = Attempt<T>(std::move(attempt)),
+         resolve = Attempt<T>(std::move(resolve))](core::Coordinator&,
+                                                   auto complete) {
+          run_with_retries<T>(
+              loop_, config_.retry, rng_, attempt,
+              [&attempts, complete](T result, std::uint32_t k) {
+                attempts = k;
+                complete(std::move(result));
+              },
+              resolve);
+        });
   }
+  std::lock_guard<std::mutex> lock(mutex_);
+  stats_.count(outcome, attempts);
+  return outcome;
 }
 
 VolumeClient::BlockOutcome VolumeClient::read(Lba lba) {
   const StripeId stripe = config_.stripe_base + layout_.stripe_of(lba);
   const BlockIndex j = layout_.index_of(lba);
-  return with_retries<BlockOutcome>(
-      [stripe, j](core::Coordinator& c, auto complete) {
-        c.read_block(stripe, j,
-                     core::Coordinator::BlockOutcomeCb(std::move(complete)));
-      });
+  return with_retries<BlockOutcome>([this, stripe, j](BlockOutcomeCb done) {
+    coordinator_->read_block(stripe, j, std::move(done));
+  });
 }
 
 VolumeClient::WriteOutcome VolumeClient::write(Lba lba, Block data) {
@@ -179,9 +169,13 @@ VolumeClient::WriteOutcome VolumeClient::write(Lba lba, Block data) {
   const BlockIndex j = layout_.index_of(lba);
   auto block = std::make_shared<const Block>(std::move(data));
   return with_retries<WriteOutcome>(
-      [stripe, j, block](core::Coordinator& c, auto complete) {
-        c.write_blocks(stripe, {j}, {*block},
-                       core::Coordinator::WriteOutcomeCb(std::move(complete)));
+      [this, stripe, j, block](WriteOutcomeCb done) {
+        coordinator_->write_blocks(stripe, {j}, {*block}, std::move(done));
+      },
+      [this, stripe, j, block](WriteOutcomeCb done) {
+        coordinator_->read_blocks(stripe, {j}, [block, done](auto read) {
+          done(settle(read, {*block}));
+        });
       });
 }
 
@@ -189,9 +183,8 @@ std::optional<std::vector<Block>> VolumeClient::read_stripe(StripeId stripe) {
   const StripeId global = config_.stripe_base + stripe;
   auto outcome = blocking_op<core::Coordinator::StripeOutcome>(
       core::OpError::kMisrouted,
-      [global](core::Coordinator& c, auto complete) {
-        c.read_stripe(global,
-                      core::Coordinator::StripeOutcomeCb(std::move(complete)));
+      [global](core::Coordinator& c, core::Coordinator::StripeOutcomeCb done) {
+        c.read_stripe(global, std::move(done));
       });
   if (!outcome.ok()) return std::nullopt;
   return std::move(*outcome);
@@ -202,10 +195,8 @@ bool VolumeClient::write_stripe(StripeId stripe, std::vector<Block> data) {
   return blocking_op<WriteOutcome>(
              core::OpError::kMisrouted,
              [global, d = std::move(data)](core::Coordinator& c,
-                                           auto complete) mutable {
-               c.write_stripe(
-                   global, std::move(d),
-                   core::Coordinator::WriteOutcomeCb(std::move(complete)));
+                                           WriteOutcomeCb done) mutable {
+               c.write_stripe(global, std::move(d), std::move(done));
              })
       .ok();
 }
@@ -223,10 +214,8 @@ bool VolumeClient::repair_stripe(StripeId stripe) {
   const StripeId global = config_.stripe_base + stripe;
   return blocking_op<WriteOutcome>(
              core::OpError::kMisrouted,
-             [global](core::Coordinator& c, auto complete) {
-               c.repair_stripe(
-                   global,
-                   core::Coordinator::WriteOutcomeCb(std::move(complete)));
+             [global](core::Coordinator& c, WriteOutcomeCb done) {
+               c.repair_stripe(global, std::move(done));
              })
       .ok();
 }

@@ -20,12 +20,15 @@
 // threads use the blocking API, which posts to the loop and waits on a
 // future; close() fails the waiting threads through pre-registered abort
 // hooks, so none is stranded by a stopped loop. The blocking API is
-// thread-safe; aborted operations retry with capped jittered backoff
-// (fab::RetryPolicy, §5.1's "the client retries") in the calling thread.
+// thread-safe; read() and write() run fab::run_with_retries on the loop
+// (§5.1's "the client retries", only attempts that had no effect), so the
+// calling thread blocks once, on the final outcome.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,6 +85,8 @@ class VolumeClient {
  public:
   using BlockOutcome = core::Coordinator::BlockOutcome;
   using WriteOutcome = core::Coordinator::WriteOutcome;
+  using BlockOutcomeCb = core::Coordinator::BlockOutcomeCb;
+  using WriteOutcomeCb = core::Coordinator::WriteOutcomeCb;
 
   explicit VolumeClient(VolumeClientConfig config, std::uint64_t seed = 1);
   ~VolumeClient();
@@ -95,8 +100,10 @@ class VolumeClient {
 
   // --- blocking I/O (any application thread) -----------------------------
   /// Final outcome after the RetryPolicy: kAborted means the retry budget
-  /// ran out, kTimeout that a quorum stayed unreachable for a full
-  /// op_deadline (never retried), kMisrouted that the client is closed.
+  /// ran out, kAbortedAfterSend that a write aborted after its blocks left
+  /// and no read showed it took effect, kTimeout that a quorum stayed
+  /// unreachable for a full op_deadline, kMisrouted that the client is
+  /// closed.
   BlockOutcome read(Lba lba);
   WriteOutcome write(Lba lba, Block data);
 
@@ -116,7 +123,11 @@ class VolumeClient {
   /// Idempotent; the destructor calls it.
   void close();
 
-  const ClientStats& stats() const { return stats_; }
+  /// A snapshot, safe to take while operations run.
+  ClientStats stats() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
+  }
   /// Runs on the loop; do not call after close().
   core::CoordinatorStats coordinator_stats();
   /// The coordinator read-cache counters (DESIGN.md §13) as one small
@@ -135,11 +146,14 @@ class VolumeClient {
  private:
   template <typename T, typename Start>
   T blocking_op(T closed_value, Start&& start);
-  /// blocking_op under config_.retry: retries aborts only, sleeping a
-  /// jittered, growing backoff in the calling thread between attempts.
-  template <typename T, typename Start>
-  T with_retries(const Start& start);
-  sim::Duration jittered(sim::Duration backoff);
+  /// Starts one attempt on the loop; see run_with_retries.
+  template <typename T>
+  using Attempt = std::function<void(std::function<void(T)>)>;
+  /// blocking_op over run_with_retries under config_.retry; a one-attempt
+  /// policy calls the coordinator directly. `resolve` as in
+  /// run_with_retries.
+  template <typename T, typename A, typename R = std::nullptr_t>
+  T with_retries(A attempt, R resolve = nullptr);
 
   VolumeClientConfig config_;
   core::GroupLayout group_layout_;
@@ -151,10 +165,10 @@ class VolumeClient {
   std::unique_ptr<core::Coordinator> coordinator_;
 
   std::atomic<bool> closed_{false};
-  std::mutex mutex_;  ///< guards aborts_, rng_, stats_
+  mutable std::mutex mutex_;  ///< guards aborts_, stats_
   std::map<std::uint64_t, std::function<void()>> aborts_;
   std::uint64_t next_abort_id_ = 0;
-  Rng rng_;
+  Rng rng_;  ///< retry jitter; loop thread only
   ClientStats stats_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 
 #include "common/check.h"
 #include "common/fnv.h"
@@ -172,6 +173,108 @@ ValueId ValueRegistry::id_of(const Block& block) {
   auto it = ids_.find(block);
   if (it == ids_.end()) it = ids_.emplace(block, next_++).first;
   return it->second;
+}
+
+std::string format_history(const std::vector<Operation>& ops) {
+  static constexpr const char* kEnds[] = {"pending", "ok", "aborted",
+                                          "crashed"};
+  std::ostringstream os;
+  auto print = [&os](const auto& v) {
+    if (v.has_value()) os << *v; else os << "-";
+  };
+  for (const Operation& op : ops) {
+    os << "  " << (op.kind == OpKind::kWrite ? "W" : "R") << " value=";
+    print(op.value);
+    os << " [" << op.invoke_seq << ", ";
+    print(op.end_seq);
+    os << "] " << kEnds[static_cast<int>(op.end)] << "\n";
+  }
+  return os.str();
+}
+
+Recorder::Op Recorder::begin(const std::vector<Key>& keys,
+                             const std::vector<Block>& values) {
+  FABEC_CHECK(values.empty() || values.size() == keys.size());
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t seq = ++seq_;
+  Op op;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    History& h = histories_[keys[i]];
+    if (values.empty()) {
+      op.parts.emplace_back(keys[i], h.begin_read(seq));
+      continue;
+    }
+    const ValueId id = registry_.id_of(values[i]);
+    written_.insert(id);
+    op.parts.emplace_back(keys[i], h.begin_write(id, seq));
+  }
+  return op;
+}
+
+void Recorder::end_read(const Op& op, const std::vector<Block>& values) {
+  FABEC_CHECK(values.empty() || values.size() == op.parts.size());
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t seq = ++seq_;
+  for (std::size_t i = 0; i < op.parts.size(); ++i) {
+    const auto& [key, ref] = op.parts[i];
+    std::optional<ValueId> id;
+    if (!values.empty()) {
+      id = registry_.id_of(values[i]);
+      if (*id != kNil && written_.count(*id) == 0) unknown_reads_.insert(key);
+    }
+    histories_[key].end_read(ref, seq, id);
+  }
+}
+
+void Recorder::end_write(const Op& op, bool ok) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t seq = ++seq_;
+  for (const auto& [key, ref] : op.parts)
+    histories_[key].end_write(ref, seq, ok);
+}
+
+void Recorder::crash(const Op& op) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t seq = ++seq_;
+  for (const auto& [key, ref] : op.parts) histories_[key].crash(ref, seq);
+}
+
+std::vector<Recorder::Violation> Recorder::check() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<Violation> out;
+  for (const auto& [key, history] : histories_) {
+    std::string message;
+    if (unknown_reads_.count(key) != 0)
+      message = "read returned a value no writer ever produced";
+    else if (const CheckResult verdict =
+                 check_strict_linearizability(history);
+             !verdict.ok)
+      message = verdict.violation;
+    if (!message.empty())
+      out.push_back(Violation{key, std::move(message), history.operations()});
+  }
+  return out;
+}
+
+std::size_t Recorder::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return histories_.size();
+}
+
+History Recorder::history(Key key) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = histories_.find(key);
+  return it == histories_.end() ? History{} : it->second;
+}
+
+std::uint64_t Recorder::fingerprint() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Fnv1a h;
+  for (const auto& [key, history] : histories_) {
+    h.update_value(key);
+    h.update_value(hist::fingerprint(history));
+  }
+  return h.digest();
 }
 
 }  // namespace fabec::hist

@@ -23,11 +23,15 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/check.h"
 
 namespace fabec::hist {
 
@@ -106,6 +110,66 @@ class ValueRegistry {
  private:
   std::map<Block, ValueId> ids_;
   ValueId next_ = 1;
+};
+
+/// One line per operation: kind, value, [invoke, end] sequence and how it
+/// ended — the history a violation report prints next to its verdict.
+std::string format_history(const std::vector<Operation>& ops);
+
+/// The one history recorder of every harness (chaos campaigns, the cluster
+/// tool, runtime tests): thread-safe, one global event sequencer, and one
+/// operation per LOGICAL client call. A call that retries stays one
+/// operation carrying one value from its first invoke to its final outcome
+/// (or crash), so the oracle judges the history the application saw — the
+/// retry loop included. Values are block contents; every write must carry
+/// a distinct non-zero block (Appendix B's unique-value assumption).
+class Recorder {
+ public:
+  /// Names one per-block history: an lba, or any packing of (stripe, j).
+  using Key = std::uint64_t;
+  /// One logical operation's projections onto the histories it touches.
+  struct Op {
+    std::vector<std::pair<Key, History::OpRef>> parts;
+  };
+
+  Op begin_read(const std::vector<Key>& keys) { return begin(keys, {}); }
+  /// values[i] is written to keys[i].
+  Op begin_write(const std::vector<Key>& keys,
+                 const std::vector<Block>& values) {
+    FABEC_CHECK(!values.empty());
+    return begin(keys, values);
+  }
+  /// `values` are in key order; empty means the read returned ⊥.
+  void end_read(const Op& op, const std::vector<Block>& values);
+  void end_write(const Op& op, bool ok);
+  /// The operation's coordinator crashed: its end is the crash event.
+  void crash(const Op& op);
+
+  struct Violation {
+    Key key = 0;
+    std::string message;
+    std::vector<Operation> ops;  ///< the key's whole history
+  };
+  /// Runs the oracle over every history; also flags reads of a value no
+  /// write carried.
+  std::vector<Violation> check() const;
+  /// fingerprint() over every history, in key order.
+  std::uint64_t fingerprint() const;
+  /// Number of per-block histories (keys ever touched).
+  std::size_t size() const;
+  /// A copy of one key's history (empty if never touched).
+  History history(Key key) const;
+
+ private:
+  /// Empty `values` begins a read.
+  Op begin(const std::vector<Key>& keys, const std::vector<Block>& values);
+
+  mutable std::mutex mutex_;
+  std::uint64_t seq_ = 0;
+  std::map<Key, History> histories_;
+  ValueRegistry registry_;
+  std::set<ValueId> written_;
+  std::set<Key> unknown_reads_;  ///< keys that read an unwritten value
 };
 
 }  // namespace fabec::hist

@@ -71,26 +71,38 @@ std::optional<Block> ReplicaStore::max_block_checked(DiskStats& io) const {
   return std::nullopt;
 }
 
-std::optional<Version> ReplicaStore::max_below(const Timestamp& bound,
-                                               DiskStats& io) const {
+std::pair<const LogEntry*, Timestamp> ReplicaStore::block_below(
+    const Timestamp& bound) const {
   std::optional<Timestamp> version_ts;
   for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
     if (it->ts >= bound) continue;
     if (!version_ts.has_value()) version_ts = it->ts;
-    if (it->block.has_value()) {
-      ++io.disk_reads;
-      if (!it->crc_ok()) {
-        // A rotted block certifies nothing: vouching for version_ts with
-        // garbage (or an even older block) would let recovery read back a
-        // value this replica never durably held. Reply as if the replica
-        // missed the write — the quorum's surviving copies carry it.
-        ++io.crc_failures;
-        return std::nullopt;
-      }
-      return Version{*version_ts, *it->block};
-    }
+    if (it->block.has_value()) return {&*it, *version_ts};
   }
-  return std::nullopt;
+  return {nullptr, kLowTS};
+}
+
+std::optional<Version> ReplicaStore::max_below(const Timestamp& bound,
+                                               DiskStats& io) const {
+  const auto [entry, version_ts] = block_below(bound);
+  if (entry == nullptr) return std::nullopt;
+  ++io.disk_reads;
+  if (!entry->crc_ok()) {
+    // A rotted block certifies nothing: vouching for version_ts with
+    // garbage (or an even older block) would let recovery read back a
+    // value this replica never durably held (rotted_below names the
+    // version without the block).
+    ++io.crc_failures;
+    return std::nullopt;
+  }
+  return Version{version_ts, *entry->block};
+}
+
+std::optional<Timestamp> ReplicaStore::rotted_below(
+    const Timestamp& bound) const {
+  const auto [entry, version_ts] = block_below(bound);
+  if (entry == nullptr || entry->crc_ok()) return std::nullopt;
+  return version_ts;
 }
 
 void ReplicaStore::append(const Timestamp& ts, std::optional<Block> block,

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -108,6 +109,11 @@ class ReplicaStore {
   std::optional<Version> max_below(const Timestamp& bound,
                                    DiskStats& io) const;
 
+  /// The version timestamp max_below(bound) would have vouched for when it
+  /// returns nullopt because that block fails its CRC; nullopt otherwise.
+  /// No disk read.
+  std::optional<Timestamp> rotted_below(const Timestamp& bound) const;
+
   // --- log updates -----------------------------------------------------
   /// Appends [ts, block] (block == nullopt appends a ⊥ marker). `ts` must
   /// exceed max_ts(); the protocol's status checks guarantee this. Counts
@@ -161,6 +167,11 @@ class ReplicaStore {
   const std::vector<LogEntry>& log_for_inspection() const { return log_; }
 
  private:
+  /// The newest non-⊥ entry below `bound` and the version timestamp it
+  /// serves (the newest entry below `bound`); {nullptr, LowTS} if none.
+  std::pair<const LogEntry*, Timestamp> block_below(
+      const Timestamp& bound) const;
+
   std::size_t block_size_;
   Timestamp ord_ts_ = kLowTS;
   std::vector<LogEntry> log_;  // kept sorted by ts ascending

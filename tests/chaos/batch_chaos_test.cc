@@ -25,7 +25,7 @@ CampaignConfig batched_config() {
   CampaignConfig cfg;
   cfg.batch_frames = true;
   cfg.wide_op_fraction = 0.5;
-  cfg.client_retries = 2;
+  cfg.retry.max_attempts = 3;
   cfg.nemesis.dup_ramps = 2;
   return cfg;
 }

@@ -98,7 +98,7 @@ TEST(DiskCampaignTest, BitRotTortureCampaignScrubsAndRepairs) {
   cfg.num_ops = 120;
   cfg.nemesis.bit_rots = 3;
   cfg.op_deadline = 60 * sim::kDefaultDelta;
-  cfg.client_retries = 2;
+  cfg.retry.max_attempts = 3;
   std::uint64_t rots = 0, scrubbed = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto r = run_campaign(cfg, seed);

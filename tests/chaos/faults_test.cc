@@ -112,7 +112,7 @@ TEST(BlackoutTest, CampaignsStayLinearizableWithBoundedLatency) {
 TEST(BlackoutTest, CampaignReplayIsDeterministic) {
   CampaignConfig cfg;
   cfg.op_deadline = 30 * sim::kDefaultDelta;
-  cfg.client_retries = 2;
+  cfg.retry.max_attempts = 3;
   cfg.nemesis.quorum_blackouts = 2;
   const CampaignResult a = run_campaign(cfg, 4242);
   const CampaignResult b = run_campaign(cfg, 4242);
@@ -123,20 +123,23 @@ TEST(BlackoutTest, CampaignReplayIsDeterministic) {
 }
 
 TEST(RetryTest, RetryOnAbortStaysLinearizableAndActuallyRetries) {
-  // Contention-heavy workload so aborts happen, with a client retry budget:
-  // every reissue is a fresh history operation, and the oracle must still
-  // pass — §5.1's client loop cannot manufacture stale reads or lost
-  // writes.
+  // Contention-heavy workload so aborts happen, with a client retry budget.
+  // Each logical call is ONE history operation carrying one value across
+  // all its attempts, so the oracle judges what the application saw — a
+  // resend that reinstalled an old value after a newer one (A, B, A) would
+  // fail it. The retry loop resends only attempts that had no effect: no
+  // write that aborted after its blocks left is ever resent.
   CampaignConfig cfg;
   cfg.write_fraction = 0.7;
   cfg.wide_op_fraction = 0.5;
-  cfg.client_retries = 3;
+  cfg.retry.max_attempts = 4;
   cfg.nemesis.crashes = 3;
   std::uint64_t retried = 0;
   for (std::uint64_t seed = 900; seed < 910; ++seed) {
     const CampaignResult r = run_campaign(cfg, seed);
     EXPECT_TRUE(r.ok) << "seed " << seed << ": " << r.violation
                       << "\nreplay: " << replay_command(cfg, seed);
+    EXPECT_EQ(r.retries_after_send, 0u) << "seed " << seed;
     retried += r.ops_retried;
   }
   EXPECT_GT(retried, 0u);
@@ -148,7 +151,7 @@ TEST(RetryTest, RetriesWithDeadlinesCompose) {
   // under the default mixed-fault menu plus blackouts.
   CampaignConfig cfg;
   cfg.op_deadline = 40 * sim::kDefaultDelta;
-  cfg.client_retries = 2;
+  cfg.retry.max_attempts = 3;
   cfg.nemesis.quorum_blackouts = 2;
   for (std::uint64_t seed = 950; seed < 958; ++seed) {
     const CampaignResult r = run_campaign(cfg, seed);

@@ -143,6 +143,27 @@ TEST(MultiBlockTest, ReadBlockIsReadBlocksOfOneIndex) {
             (ReadCost{4, (2 * kN - 1) + 2 * kM, kM, kM, 0}));
 }
 
+TEST(MultiBlockTest, StatsCountReadsByBlockCountNotEntryPoint) {
+  // As for writes: a one-index read_blocks is a block read like
+  // read_block, so fast_read_hits / block_reads means the same whichever
+  // entry point a front end uses.
+  Cluster cluster(make_config(), 12);
+  Rng rng(12);
+  ASSERT_TRUE(cluster.write_stripe(0, 0, random_stripe(rng)));
+  ASSERT_TRUE(cluster.read_block(1, 0, 2).has_value());
+  ASSERT_TRUE(cluster.read_blocks(2, 0, {3}).has_value());
+  CoordinatorStats stats = cluster.total_coordinator_stats();
+  EXPECT_EQ(stats.block_reads, 2u);
+  EXPECT_EQ(stats.multi_block_reads, 0u);
+  EXPECT_EQ(stats.fast_read_hits, 2u);
+
+  ASSERT_TRUE(cluster.read_blocks(3, 0, {0, 4}).has_value());
+  stats = cluster.total_coordinator_stats();
+  EXPECT_EQ(stats.block_reads, 2u);
+  EXPECT_EQ(stats.multi_block_reads, 1u);
+  EXPECT_EQ(stats.fast_read_hits, 3u);
+}
+
 TEST(MultiBlockTest, FastReadCosts) {
   Cluster cluster(make_config(), 5);
   Rng rng(5);

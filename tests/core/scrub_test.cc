@@ -126,5 +126,74 @@ TEST(ScrubTest, ScrubIsReadOnly) {
   EXPECT_EQ(cluster.total_io().disk_reads, 8u);  // one block per brick
 }
 
+// A CRC-rotted block is an erasure the replica detects itself. With
+// n - 2f = m (n = 5, m = 3, f = 1) a read quorum holds exactly m blocks of
+// a complete version, so a rotted holder inside that quorum must not pass
+// for a replica that missed the version: recovery would descend and read
+// an older value back.
+ClusterConfig tight_config() {
+  ClusterConfig config;
+  config.n = 5;
+  config.m = 3;
+  config.block_size = kB;
+  return config;
+}
+
+std::vector<Block> tight_stripe(Rng& rng) {
+  std::vector<Block> stripe;
+  for (int i = 0; i < 3; ++i) stripe.push_back(random_block(rng, kB));
+  return stripe;
+}
+
+// Silences brick p's replies for `span` of virtual time.
+void mute_for(Cluster& cluster, ProcessId p, sim::Duration span) {
+  cluster.network().isolate_outbound(p);
+  cluster.simulator().schedule_after(span,
+                                     [&cluster] { cluster.network().heal(); });
+}
+
+TEST(RottedReplicaTest, OneRotInAQuorumWithALaggardWaitsForTheLastHolder) {
+  Cluster cluster(tight_config(), 11);
+  Rng rng(11);
+  cluster.crash(4);
+  const auto stripe = tight_stripe(rng);
+  ASSERT_TRUE(cluster.write_stripe(0, 0, stripe));  // lands on bricks 0-3
+  cluster.recover_brick(4);
+  cluster.store(3).replica(0).rot_newest_block(/*seed=*/3);
+  // The first quorum is bricks 1-4: two intact blocks, one rotted holder,
+  // one laggard. Only brick 0 can complete the decode.
+  mute_for(cluster, 0, 20 * sim::kDefaultDelta);
+  EXPECT_EQ(cluster.read_stripe(2, 0), stripe);
+}
+
+TEST(RottedReplicaTest, TwoRotsInAQuorumWaitForTheFifthBrick) {
+  Cluster cluster(tight_config(), 12);
+  Rng rng(12);
+  const auto stripe = tight_stripe(rng);
+  ASSERT_TRUE(cluster.write_stripe(0, 0, stripe));
+  cluster.simulator().run_until_idle();  // on all five bricks
+  cluster.store(0).replica(0).rot_newest_block(/*seed=*/1);
+  cluster.store(1).replica(0).rot_newest_block(/*seed=*/2);
+  mute_for(cluster, 4, 20 * sim::kDefaultDelta);
+  EXPECT_EQ(cluster.read_stripe(2, 0), stripe);
+  // The recovery wrote the stripe back: the rotted bricks hold it again.
+  EXPECT_EQ(cluster.read_stripe(3, 0), stripe);
+}
+
+TEST(RottedReplicaTest, AVersionRottedBeyondToleranceReadsAsAbortNotAsOlder) {
+  Cluster cluster(tight_config(), 13);
+  Rng rng(13);
+  ASSERT_TRUE(cluster.write_stripe(0, 0, tight_stripe(rng)));
+  cluster.simulator().run_until_idle();
+  cluster.crash(4);
+  ASSERT_TRUE(cluster.write_stripe(0, 0, tight_stripe(rng)));  // bricks 0-3
+  cluster.recover_brick(4);
+  cluster.store(1).replica(0).rot_newest_block(/*seed=*/1);
+  cluster.store(2).replica(0).rot_newest_block(/*seed=*/2);
+  // Two intact blocks of a complete version remain: no quorum can read
+  // it, and returning the first stripe would undo a completed write.
+  EXPECT_FALSE(cluster.read_stripe(3, 0).has_value());
+}
+
 }  // namespace
 }  // namespace fabec::core

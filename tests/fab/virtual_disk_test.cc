@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "fab/workload.h"
+#include "hist/history.h"
 
 namespace fabec::fab {
 namespace {
@@ -224,6 +225,177 @@ TEST(LatencyRecorderTest, Percentiles) {
   EXPECT_EQ(rec.max(), 100);
   rec.record(500);  // stays correct after re-sorting
   EXPECT_EQ(rec.max(), 500);
+}
+
+
+// --- client retries under the oracle --------------------------------------
+//
+// Scripted schedules on a 4-brick, m = 2 group (f = 1, quorums of 3) with a
+// fixed one-way delay δ: brick 0 coordinates a write W(A) whose Modify
+// reaches only some bricks before links from brick 0 are cut, brick 2
+// coordinates a read R1 that runs into the partial write, and the links heal
+// once R1 is done. W(A)'s retransmitted Modify then meets the ord-ts R1 left
+// behind, so W(A)'s attempt aborts after its blocks left the coordinator.
+// Every client call is recorded once, spanning all its attempts.
+
+constexpr sim::Duration kDelta = sim::kDefaultDelta;
+
+struct RetryScript {
+  RetryScript() : cluster(config(), 7), disk(&cluster, disk_config()) {}
+
+  static core::ClusterConfig config() {
+    core::ClusterConfig c;
+    c.n = 4;
+    c.m = 2;
+    c.block_size = kBlockSize;
+    return c;
+  }
+  static VirtualDiskConfig disk_config() {
+    VirtualDiskConfig c;
+    c.num_blocks = 2;  // one stripe; lba 0 is its data block 0
+    // A resend would come long after the scripted W(B) below.
+    c.retry.max_attempts = 4;
+    c.retry.initial_backoff = 200 * kDelta;
+    c.retry.max_backoff = 400 * kDelta;
+    return c;
+  }
+  static Block value(std::uint8_t fill) { return Block(kBlockSize, fill); }
+
+  /// Starts W(A) at brick 0 and cuts brick 0's links to `cut` before its
+  /// Modify round (sent at 2δ) goes out; then R1 at brick 2 runs to
+  /// completion, the links heal, and the simulator runs to `until`.
+  void write_partially_then_read(const std::vector<ProcessId>& cut,
+                                 sim::Time until) {
+    auto& sim = cluster.simulator();
+    const sim::Time t0 = sim.now() + kDelta;
+    sim.schedule_at(t0, [this] {
+      const auto op = recorder.begin_write({0}, {value(0xA1)});
+      disk.write(0, value(0xA1),
+                 [this, op](VirtualDisk::WriteOutcome r) {
+                   recorder.end_write(op, r.ok());
+                   write_a = std::move(r);
+                 },
+                 /*coord=*/0);
+    });
+    sim.schedule_at(t0 + 3 * kDelta / 2, [this, cut] {
+      for (ProcessId p : cut) cluster.network().block_one_way(0, p);
+    });
+    sim.schedule_at(t0 + 7 * kDelta / 2, [this] {
+      const auto op = recorder.begin_read({0});
+      disk.read(0,
+                [this, op](VirtualDisk::BlockOutcome r) {
+                  recorder.end_read(op, r.ok() ? std::vector<Block>{*r}
+                                               : std::vector<Block>{});
+                  read_1 = std::move(r);
+                },
+                /*coord=*/2);
+    });
+    sim.run_until_pred([this] { return read_1.has_value(); });
+    for (ProcessId p : cut) cluster.network().unblock_one_way(0, p);
+    sim.run_until(t0 + until);
+  }
+
+  /// A synchronous, recorded block call at `coord`.
+  bool write(std::uint8_t fill, ProcessId coord) {
+    const auto op = recorder.begin_write({0}, {value(fill)});
+    const bool ok = disk.write_sync(0, value(fill), coord);
+    recorder.end_write(op, ok);
+    return ok;
+  }
+  std::optional<Block> read(ProcessId coord) {
+    const auto op = recorder.begin_read({0});
+    auto block = disk.read_sync(0, coord);
+    recorder.end_read(op, block.has_value() ? std::vector<Block>{*block}
+                                            : std::vector<Block>{});
+    return block;
+  }
+
+  core::Cluster cluster;
+  VirtualDisk disk;
+  hist::Recorder recorder;
+  std::optional<VirtualDisk::WriteOutcome> write_a;
+  std::optional<VirtualDisk::BlockOutcome> read_1;
+};
+
+std::string violations(const hist::Recorder& recorder) {
+  std::string out;
+  for (const auto& v : recorder.check())
+    out += v.message + "\n" + hist::format_history(v.ops);
+  return out;
+}
+
+TEST(VirtualDiskRetryTest, RecoveredPartialWriteIsNeverResentAfterANewerWrite) {
+  // The A, B, A shape: W(A)'s Modify lands on bricks 0 and 2 (decodable at
+  // m = 2), R1 recovers and returns A, W(B) completes after R1 — so A < B —
+  // and a resend of W(A) under a fresh timestamp would make a later read
+  // return A again. The write must instead end inside its own call.
+  RetryScript s;
+  s.write_partially_then_read({1, 3}, 150 * kDelta);
+  ASSERT_TRUE(s.read_1.has_value() && s.read_1->ok());
+  EXPECT_EQ(**s.read_1, RetryScript::value(0xA1)) << "R1 recovered W(A)";
+
+  ASSERT_TRUE(s.write(0xB2, /*coord=*/3));
+  s.cluster.simulator().run_until_pred([&] { return s.write_a.has_value(); });
+  ASSERT_TRUE(s.write_a.has_value());
+  const auto r2 = s.read(/*coord=*/1);
+  ASSERT_TRUE(r2.has_value());
+  EXPECT_EQ(*r2, RetryScript::value(0xB2));
+  EXPECT_EQ(violations(s.recorder), "");
+  // The write-repair rolled W(A) forward, so W(A) took effect inside its
+  // call: it reports OK, with no resend.
+  EXPECT_TRUE(s.write_a->ok());
+  EXPECT_EQ(s.cluster.coordinator(0).stats().write_repairs, 1u);
+  EXPECT_EQ(s.cluster.total_coordinator_stats().block_writes, 2u);
+  EXPECT_EQ(s.disk.client_stats().retries, 0u);
+}
+
+TEST(VirtualDiskRetryTest, WriteAbortedAfterItsModifyLeftIsNotRetried) {
+  // W(A)'s Modify reaches brick 0 alone (not decodable), R1 rolls the stripe
+  // back to nil, and W(A)'s repair recovers nil: W(A) is ⊥ after send. It
+  // must not be resent, however much retry budget is left: the client's one
+  // further attempt is a read of the block, which finds nil, not A.
+  RetryScript s;
+  s.write_partially_then_read({1, 2, 3}, 150 * kDelta);
+  ASSERT_TRUE(s.read_1.has_value() && s.read_1->ok());
+  EXPECT_EQ(**s.read_1, zero_block(kBlockSize));
+  s.cluster.simulator().run_until_idle();
+  ASSERT_TRUE(s.write_a.has_value());
+  ASSERT_FALSE(s.write_a->ok());
+  EXPECT_EQ(s.write_a->error(), core::OpError::kAbortedAfterSend);
+  EXPECT_EQ(s.cluster.total_coordinator_stats().block_writes, 1u);
+  EXPECT_EQ(s.disk.client_stats().retries, 1u);
+  EXPECT_EQ(s.disk.client_stats().aborted, 1u);
+  EXPECT_EQ(s.read(/*coord=*/1), zero_block(kBlockSize));
+  EXPECT_EQ(violations(s.recorder), "");
+}
+
+TEST(VirtualDiskRetryTest, AbortBeforeAnyBlockLeftIsRetried) {
+  // Everything brick 0 sends is lost while W(A), which it coordinates,
+  // draws its timestamp and starts; W(C) at brick 1 then completes under a
+  // later timestamp. Once the links heal, W(A)'s order-read is refused
+  // everywhere: nothing carrying A ever left, so the client resends it, and
+  // the resend succeeds.
+  RetryScript s;
+  auto& sim = s.cluster.simulator();
+  const sim::Time t0 = sim.now() + kDelta;
+  for (ProcessId p = 0; p < 4; ++p) s.cluster.network().block_one_way(0, p);
+  sim.schedule_at(t0, [&s] {
+    const auto op = s.recorder.begin_write({0}, {RetryScript::value(0xA1)});
+    s.disk.write(0, RetryScript::value(0xA1),
+                 [&s, op](VirtualDisk::WriteOutcome r) {
+                   s.recorder.end_write(op, r.ok());
+                   s.write_a = std::move(r);
+                 },
+                 /*coord=*/0);
+  });
+  sim.run_until(t0 + kDelta);
+  ASSERT_TRUE(s.write(0xC3, /*coord=*/1));
+  for (ProcessId p = 0; p < 4; ++p) s.cluster.network().unblock_one_way(0, p);
+  sim.run_until_pred([&s] { return s.write_a.has_value(); });
+  ASSERT_TRUE(s.write_a->ok());
+  EXPECT_GE(s.disk.client_stats().retries, 1u);
+  EXPECT_EQ(s.read(/*coord=*/2), RetryScript::value(0xA1));
+  EXPECT_EQ(violations(s.recorder), "");
 }
 
 }  // namespace

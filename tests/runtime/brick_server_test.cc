@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -85,6 +84,22 @@ class BrickServerTest : public testing::Test {
 
   static Block pattern(std::uint8_t fill) { return Block(kBlockSize, fill); }
 
+  /// Reads a counter of `brick` on its loop thread, polling until it is
+  /// nonzero or 5 s pass: a quorum completes without the slowest brick, so
+  /// a brick may still be catching up.
+  template <typename Read>
+  static std::uint64_t eventually_nonzero(BrickServer& brick, Read read) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    std::uint64_t value = 0;
+    for (;;) {
+      brick.loop().run_sync([&] { value = read(brick.stats()); });
+      if (value > 0 || std::chrono::steady_clock::now() >= deadline)
+        return value;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+
   std::string dir_;
   std::unique_ptr<LocalCluster> cluster_;
 };
@@ -104,21 +119,11 @@ TEST_F(BrickServerTest, WriteReadRoundTrip) {
   EXPECT_EQ(client->stats().ok, 2 * kNumBlocks);
   // Bricks learned the client's ephemeral address from its datagrams; every
   // reply they sent proves the reply-to-source path. A quorum completes
-  // without the slowest brick, so a brick may still be catching up: poll
-  // its counter, read on its own loop thread, until a bounded deadline.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  for (ProcessId id = 0; id < kBricks; ++id) {
-    BrickServer& brick = *cluster_->brick(id);
-    std::uint64_t handled = 0;
-    for (;;) {
-      brick.loop().run_sync(
-          [&] { handled = brick.stats().requests_handled; });
-      if (handled > 0 || std::chrono::steady_clock::now() >= deadline) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    EXPECT_GT(handled, 0u) << "brick " << id;
-  }
+  // without the slowest brick, so a brick may still be catching up.
+  const auto handled = [](const auto& s) { return s.requests_handled; };
+  for (ProcessId id = 0; id < kBricks; ++id)
+    EXPECT_GT(eventually_nonzero(*cluster_->brick(id), handled), 0u)
+        << "brick " << id;
   client->close();
 }
 
@@ -154,8 +159,9 @@ TEST_F(BrickServerTest, PoolLargerThanGroupServesEveryBlock) {
     ASSERT_TRUE(read.ok()) << "read lba " << lba;
     EXPECT_EQ(read.value(), pattern(static_cast<std::uint8_t>(0x80 + lba)));
   }
+  const auto handled = [](const auto& s) { return s.requests_handled; };
   for (ProcessId id = 0; id < pool->size(); ++id)
-    EXPECT_GT(pool->brick(id)->stats().requests_handled, 0u)
+    EXPECT_GT(eventually_nonzero(*pool->brick(id), handled), 0u)
         << "brick " << id << " served no group";
   client->close();
 }
@@ -170,6 +176,11 @@ TEST_F(BrickServerTest, FullClusterRestartRecoversFromJournals) {
     client->close();
   }
 
+  // A quorum acknowledges without the slowest brick: let every brick drain
+  // its socket (bounded) before the kill, so each has a journal to replay.
+  for (ProcessId id = 0; id < kBricks; ++id)
+    eventually_nonzero(*cluster_->brick(id),
+                       [](const auto& s) { return s.journal_appends; });
   // Kill the WHOLE quorum (no surviving replica can answer for the dead)
   // and restart every brick on its original port from its journal alone.
   for (ProcessId id = 0; id < kBricks; ++id) cluster_->stop(id);
@@ -291,10 +302,7 @@ TEST_F(BrickServerTest, ThreadsOnOneStripeStayStrictlyLinearizable) {
     if (layout.stripe_of(lba) == 0) lbas.push_back(lba);
   ASSERT_EQ(lbas.size(), kM);
 
-  std::mutex mu;
-  std::uint64_t seq = 0;
-  std::map<Lba, hist::History> histories;
-  hist::ValueRegistry values;
+  hist::Recorder recorder;
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 30;
   std::vector<std::thread> threads;
@@ -306,38 +314,23 @@ TEST_F(BrickServerTest, ThreadsOnOneStripeStayStrictlyLinearizable) {
         if (rng.next_below(2) == 0) {
           Block value = pattern(static_cast<std::uint8_t>(t + 1));
           value[0] = static_cast<std::uint8_t>(i);  // unique per (t, i)
-          hist::History::OpRef ref;
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            ref = histories[lba].begin_write(values.id_of(value), ++seq);
-          }
-          const bool ok = client->write(lba, value).ok();
-          std::lock_guard<std::mutex> lock(mu);
-          histories[lba].end_write(ref, ++seq, ok);
+          const auto op = recorder.begin_write({lba}, {value});
+          recorder.end_write(op, client->write(lba, value).ok());
         } else {
-          hist::History::OpRef ref;
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            ref = histories[lba].begin_read(++seq);
-          }
+          const auto op = recorder.begin_read({lba});
           const auto read = client->read(lba);
-          std::lock_guard<std::mutex> lock(mu);
-          histories[lba].end_read(
-              ref, ++seq,
-              read.ok() ? std::optional<hist::ValueId>(
-                              values.id_of(read.value()))
-                        : std::nullopt);
+          recorder.end_read(op, read.ok() ? std::vector<Block>{*read}
+                                          : std::vector<Block>{});
         }
       }
     });
   }
   for (auto& t : threads) t.join();
   client->close();
-  ASSERT_EQ(histories.size(), lbas.size());
-  for (const auto& [lba, history] : histories) {
-    const auto verdict = hist::check_strict_linearizability(history);
-    EXPECT_TRUE(verdict.ok) << "lba " << lba << ": " << verdict.violation;
-  }
+  ASSERT_EQ(recorder.size(), lbas.size());
+  for (const auto& v : recorder.check())
+    ADD_FAILURE() << "lba " << v.key << ": " << v.message << "\n"
+                  << hist::format_history(v.ops);
 }
 
 TEST_F(BrickServerTest, CloseFailsBlockedOpsAndRefusesNewOnes) {

@@ -119,6 +119,22 @@ TEST(ReplicaStoreTest, MaxBelowServesOldBlockUnderBottomVersion) {
   EXPECT_EQ(older->block, b);
 }
 
+TEST(ReplicaStoreTest, RottedBelowNamesTheVersionARotLeavesUnvouched) {
+  ReplicaStore store(kBlockSize);
+  DiskStats io;
+  Rng rng(6);
+  store.append(ts(10), random_block(rng, kBlockSize), io);
+  EXPECT_FALSE(store.rotted_below(kHighTS).has_value());  // intact
+  store.append(ts(20), std::nullopt, io);
+  store.rot_newest_block(/*seed=*/1);
+  // The ⊥ marker at 20 vouches through the rotted block at 10.
+  EXPECT_FALSE(store.max_below(kHighTS, io).has_value());
+  EXPECT_EQ(store.rotted_below(kHighTS), ts(20));
+  EXPECT_EQ(store.rotted_below(ts(20)), ts(10));
+  // Below the rot, the initial block is intact again.
+  EXPECT_FALSE(store.rotted_below(ts(10)).has_value());
+}
+
 TEST(ReplicaStoreTest, GcKeepsEntriesAtOrAboveBound) {
   ReplicaStore store(kBlockSize);
   DiskStats io;

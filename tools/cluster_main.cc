@@ -21,7 +21,7 @@
 //      clients' static peer maps stay valid across kills.
 //   3. Client threads each own a fab::VolumeClient (ids total_bricks+i) and
 //      replay their round-robin share of one generated workload, recording
-//      invoke/return events into per-lba histories under a global sequencer.
+//      each logical call (every retry included) into a hist::Recorder.
 //   4. A chaos thread SIGKILLs a brick, reaps it, lets the cluster run
 //      degraded for a moment, and re-execs the same pinned config —
 //      `--kills` times. The journal makes the restart state-faithful.
@@ -45,6 +45,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -195,73 +196,21 @@ bool parse_flags(int argc, char** argv, Flags* flags) {
 }
 
 // ---------------------------------------------------------------------------
-// History recording shared by the process and in-process modes.
+// Latency samples shared by the client threads. The histories go to one
+// hist::Recorder: kills surface as aborts/timeouts (the coordinators live
+// in the clients and survive every injection), so histories carry
+// kReturned/kAborted events and never kCrashed.
 // ---------------------------------------------------------------------------
 
-/// Thread-safe per-lba history recorder with a global event sequencer. Kills
-/// surface as aborts/timeouts (the coordinators live in the clients and
-/// survive every injection), so histories carry kReturned/kAborted events
-/// and never kCrashed — exactly the taxonomy the chaos campaigns use.
-class Recorder {
- public:
-  struct Pending {
-    Lba lba = 0;
-    fabec::hist::History::OpRef ref = 0;
-  };
+struct Latencies {
+  std::mutex mutex;
+  fabec::fab::LatencyRecorder read;
+  fabec::fab::LatencyRecorder write;
 
-  Pending begin_write(Lba lba, const Block& value) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return {lba, histories_[lba].begin_write(registry_.id_of(value), ++seq_)};
+  void record(bool is_write, std::int64_t ns) {
+    std::lock_guard<std::mutex> lock(mutex);
+    (is_write ? write : read).record(ns);
   }
-  Pending begin_read(Lba lba) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return {lba, histories_[lba].begin_read(++seq_)};
-  }
-  void end_write(const Pending& op, bool ok) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    histories_[op.lba].end_write(op.ref, ++seq_, ok);
-  }
-  void end_read(const Pending& op, const std::optional<Block>& value) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    histories_[op.lba].end_read(
-        op.ref, ++seq_,
-        value ? std::optional<fabec::hist::ValueId>(registry_.id_of(*value))
-              : std::nullopt);
-  }
-
-  void record_latency(bool is_write, std::int64_t ns) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    (is_write ? write_lat_ : read_lat_).record(ns);
-  }
-
-  /// Runs the oracle over every block; returns the number of violations and
-  /// prints each one.
-  std::size_t check() const {
-    std::size_t violations = 0;
-    for (const auto& [lba, history] : histories_) {
-      const auto result = fabec::hist::check_strict_linearizability(history);
-      if (!result.ok) {
-        ++violations;
-        std::fprintf(stderr, "cluster: VIOLATION lba %llu: %s\n",
-                     static_cast<unsigned long long>(lba),
-                     result.violation.c_str());
-      }
-    }
-    return violations;
-  }
-
-  const fabec::fab::LatencyRecorder& read_latency() const { return read_lat_; }
-  const fabec::fab::LatencyRecorder& write_latency() const {
-    return write_lat_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::uint64_t seq_ = 0;
-  std::map<Lba, fabec::hist::History> histories_;
-  fabec::hist::ValueRegistry registry_;
-  fabec::fab::LatencyRecorder read_lat_;
-  fabec::fab::LatencyRecorder write_lat_;
 };
 
 /// Unique, never-all-zero write payload: client id + per-client counter in
@@ -282,11 +231,6 @@ std::int64_t now_ns() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-struct Tally {
-  std::atomic<std::uint64_t> ok{0};
-  std::atomic<std::uint64_t> failed{0};
-};
 
 // ---------------------------------------------------------------------------
 // brickd process management.
@@ -515,15 +459,18 @@ bool check_disks(const Flags& flags, const std::string& dir) {
 
 /// `cache` is summed over every client coordinator; zeros (and no output
 /// line) when --read-cache was off.
-void print_summary(const Flags& flags, const Recorder& recorder,
-                   const Tally& tally, std::uint32_t kills_done,
+void print_summary(const Flags& flags, const Latencies& latencies,
+                   const fabec::fab::ClientStats& outcomes,
+                   std::uint32_t kills_done,
                    double seconds, std::size_t violations,
                    const fabec::fab::VolumeClient::CachedReadStats& cache) {
-  const auto& r = recorder.read_latency();
-  const auto& w = recorder.write_latency();
+  const auto& r = latencies.read;
+  const auto& w = latencies.write;
   const double us = 1e3;  // ns -> us divisor
   const double throughput =
-      seconds > 0 ? static_cast<double>(tally.ok.load()) / seconds : 0;
+      seconds > 0 ? static_cast<double>(outcomes.ok) / seconds : 0;
+  const std::uint64_t failed =
+      outcomes.aborted + outcomes.timed_out + outcomes.misrouted;
   if (flags.json) {
     std::printf(
         "{\"mode\":\"%s\",\"bricks\":%u,\"m\":%u,\"clients\":%u,"
@@ -537,8 +484,8 @@ void print_summary(const Flags& flags, const Recorder& recorder,
         "\"violations\":%zu}\n",
         flags.inproc ? "inproc" : "processes", flags.bricks, flags.m,
         flags.clients, static_cast<unsigned long long>(flags.ops),
-        static_cast<unsigned long long>(tally.ok.load()),
-        static_cast<unsigned long long>(tally.failed.load()), kills_done,
+        static_cast<unsigned long long>(outcomes.ok),
+        static_cast<unsigned long long>(failed), kills_done,
         seconds, throughput, r.count() ? r.percentile(50.0) / us : 0.0,
         r.count() ? r.percentile(99.0) / us : 0.0,
         w.count() ? w.percentile(50.0) / us : 0.0,
@@ -558,8 +505,8 @@ void print_summary(const Flags& flags, const Recorder& recorder,
         flags.inproc ? "(in-process bricks)" : "(real processes)",
         flags.bricks, flags.m, flags.clients,
         static_cast<unsigned long long>(flags.ops),
-        static_cast<unsigned long long>(tally.ok.load()),
-        static_cast<unsigned long long>(tally.failed.load()), kills_done,
+        static_cast<unsigned long long>(outcomes.ok),
+        static_cast<unsigned long long>(failed), kills_done,
         seconds, throughput, r.count() ? r.percentile(50.0) / us : 0.0,
         r.count() ? r.percentile(99.0) / us : 0.0, r.count(),
         w.count() ? w.percentile(50.0) / us : 0.0,
@@ -657,8 +604,8 @@ int main(int argc, char** argv) {
   }
 
   // --- clients --------------------------------------------------------------
-  Recorder recorder;
-  Tally tally;
+  fabec::hist::Recorder recorder;
+  Latencies latencies;
   std::vector<std::unique_ptr<fabec::fab::VolumeClient>> clients;
   for (std::uint32_t c = 0; c < flags.clients; ++c) {
     fabec::fab::VolumeClientConfig config;
@@ -692,19 +639,17 @@ int main(int argc, char** argv) {
         if (op.is_write) {
           Block value = make_value(flags.block_size, client.client_id(),
                                    ++counter << 8 | c);
-          const auto pending = recorder.begin_write(op.lba, value);
+          const auto pending = recorder.begin_write({op.lba}, {value});
           const auto outcome = client.write(op.lba, std::move(value));
           recorder.end_write(pending, outcome.ok());
-          (outcome.ok() ? tally.ok : tally.failed).fetch_add(1);
         } else {
-          const auto pending = recorder.begin_read(op.lba);
+          const auto pending = recorder.begin_read({op.lba});
           auto outcome = client.read(op.lba);
           recorder.end_read(pending, outcome.ok()
-                                         ? std::optional<Block>(outcome.value())
-                                         : std::nullopt);
-          (outcome.ok() ? tally.ok : tally.failed).fetch_add(1);
+                                         ? std::vector<Block>{*outcome}
+                                         : std::vector<Block>{});
         }
-        recorder.record_latency(op.is_write, now_ns() - start);
+        latencies.record(op.is_write, now_ns() - start);
       }
     });
   }
@@ -784,7 +729,13 @@ int main(int argc, char** argv) {
 
   // Cache counters must be read before close() stops the client loops.
   fabec::fab::VolumeClient::CachedReadStats cache;
+  fabec::fab::ClientStats outcomes;
   for (auto& client : clients) {
+    const fabec::fab::ClientStats c = client->stats();
+    outcomes.ok += c.ok;
+    outcomes.aborted += c.aborted;
+    outcomes.timed_out += c.timed_out;
+    outcomes.misrouted += c.misrouted;
     const auto s = client->cached_read_stats();
     cache.hits += s.hits;
     cache.misses += s.misses;
@@ -797,8 +748,13 @@ int main(int argc, char** argv) {
 
   // --- disk verification, oracle and summary --------------------------------
   const bool disks_ok = check_disks(flags, dir);
-  const std::size_t violations = recorder.check();
-  print_summary(flags, recorder, tally, kills_done.load(), seconds,
+  const auto bad = recorder.check();
+  for (const auto& v : bad)
+    std::fprintf(stderr, "cluster: VIOLATION lba %llu: %s\n%s",
+                 static_cast<unsigned long long>(v.key), v.message.c_str(),
+                 fabec::hist::format_history(v.ops).c_str());
+  const std::size_t violations = bad.size();
+  print_summary(flags, latencies, outcomes, kills_done.load(), seconds,
                 violations, cache);
   const bool passed = violations == 0 && disks_ok && !restart_failed;
   if (!flags.keep && passed) {

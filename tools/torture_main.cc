@@ -61,7 +61,8 @@ void usage(const char* argv0) {
                "  --batch-frames   per-destination frame batching: the\n"
                "                   network faults whole multi-op frames\n"
                "  --deadline-us U  per-phase op deadline (0 = wait forever)\n"
-               "  --retries K      client retry budget for aborted ops\n"
+               "  --retries K      client resends of an op whose attempt had\n"
+               "                   no effect (max attempts K + 1)\n"
                "  --read-cache     cached single-round reads (default on)\n"
                "  --no-read-cache  force every read down the quorum path\n"
                "  --verbose        per-campaign stats + fault schedules\n"
@@ -172,7 +173,11 @@ bool parse(int argc, char** argv, Options* opt) {
       ok = next_u64(&us);
       cfg.op_deadline = fabec::sim::microseconds(static_cast<std::int64_t>(us));
     }
-    else if (a == "--retries") ok = next_u32(&cfg.client_retries);
+    else if (a == "--retries") {
+      std::uint32_t retries = 0;
+      ok = next_u32(&retries);
+      cfg.retry.max_attempts = retries + 1;
+    }
     else if (a == "--read-cache") cfg.read_cache = true;
     else if (a == "--no-read-cache") cfg.read_cache = false;
     else if (a == "--verbose") opt->verbose = true;
@@ -193,7 +198,8 @@ void print_result(const CampaignResult& r, bool verbose) {
   if (verbose) {
     std::printf(
         "seed %llu: %s  hash=%016llx  ops=%llu ok=%llu abort=%llu "
-        "timeout=%llu retried=%llu crashed=%llu skipped=%llu  "
+        "(after-send %llu) timeout=%llu retried=%llu crashed=%llu "
+        "skipped=%llu  "
         "max-latency-us=%lld  crashes=%llu midphase=%llu partitions=%llu "
         "isolations=%llu blackouts=%llu ramps=%llu  events=%llu\n",
         static_cast<unsigned long long>(r.seed), r.ok ? "PASS" : "FAIL",
@@ -201,6 +207,7 @@ void print_result(const CampaignResult& r, bool verbose) {
         static_cast<unsigned long long>(r.ops_issued),
         static_cast<unsigned long long>(r.ops_ok),
         static_cast<unsigned long long>(r.ops_aborted),
+        static_cast<unsigned long long>(r.ops_aborted_after_send),
         static_cast<unsigned long long>(r.ops_timed_out),
         static_cast<unsigned long long>(r.ops_retried),
         static_cast<unsigned long long>(r.ops_crashed),
